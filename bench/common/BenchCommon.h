@@ -55,7 +55,7 @@ AppVariants buildAppVariants(const PipelineSpec &Spec, double Scale = 1.0);
 /// Which host evaluation engine executes a variant's pixels.
 enum class ExecEngine {
   Ast, ///< Tree-walking interpreter (semantic reference).
-  Vm,  ///< Bytecode VM with interior/halo split + row-wise evaluation.
+  Vm,  ///< Staged bytecode VM with interior/halo split (runFusedVm).
 };
 
 const char *execEngineName(ExecEngine E);
@@ -68,8 +68,10 @@ void fillExternalInputs(const Program &P, std::vector<Image> &Pool,
 
 /// Wall-clock milliseconds to actually execute one variant's pixels on
 /// the host with the given engine and execution options (best of
-/// \p Repeats runs on a shared pre-filled pool). The Baseline variant
-/// runs the unfused engines; fused variants run runFused / runFusedVm.
+/// \p Repeats runs on a shared pre-filled pool). The VM engine runs every
+/// variant through runFusedVm (the Baseline variant is unfusedProgram(P):
+/// one single-stage launch per kernel); the AST engine runs the Baseline
+/// through runUnfused and fused variants through runFused.
 double measureVariantWallMs(const AppVariants &App, Variant V,
                             const ExecutionOptions &Options,
                             ExecEngine Engine, int Repeats = 3);

@@ -12,10 +12,9 @@
 //         filler thread (double buffering).
 //
 // A second experiment swaps the interior VM engine on the same compiled
-// launches: scalar (per-pixel bytecode dispatch) versus span (lane-
-// batched interpretation) versus jit (per-plan compiled cell chains,
-// src/jit), reporting the pairwise interior speedups and asserting all
-// three engines bit-identical.
+// launches: span (lane-batched interpretation) versus jit (per-plan
+// compiled cell chains, src/jit), reporting the jit-over-span interior
+// speedup and asserting both engines bit-identical.
 //
 // A third experiment compiles session plans for the primary app plus the
 // guard-heavy registry pipelines (clamp/select-dense night and enhance)
@@ -137,7 +136,7 @@ int main(int Argc, char **Argv) {
           std::max(MaxDiff, maxAbsDifference(WarmLast[Out], ColdLast[Out]));
     }
 
-  // Span-vs-scalar interior A/B: the same compiled launches with the
+  // Span-vs-jit interior A/B: the same compiled launches with the
   // interior engine swapped, interior CPU time collected per launch via
   // LaunchTiming (min over reps -- compile time never enters the split).
   int AbReps = std::max(1, static_cast<int>(Cl.getIntOption("ab-reps", 3)));
@@ -178,21 +177,14 @@ int main(int Argc, char **Argv) {
     }
     return M;
   };
-  InteriorMeasure Scalar = measureInterior(VmMode::Scalar);
   InteriorMeasure Span = measureInterior(VmMode::Span);
   InteriorMeasure Jit = measureInterior(VmMode::Jit);
-  double SpanSpeedup =
-      Span.InteriorMs > 0.0 ? Scalar.InteriorMs / Span.InteriorMs : 0.0;
   double JitOverSpan =
       Jit.InteriorMs > 0.0 ? Span.InteriorMs / Jit.InteriorMs : 0.0;
-  double JitOverScalar =
-      Jit.InteriorMs > 0.0 ? Scalar.InteriorMs / Jit.InteriorMs : 0.0;
   double AbDiff = 0.0;
   for (const FusedKernel &FK : FP.Kernels)
     for (KernelId Dest : FK.Destinations) {
       ImageId Out = P.kernel(Dest).Output;
-      AbDiff = std::max(AbDiff,
-                        maxAbsDifference(Scalar.Pool[Out], Span.Pool[Out]));
       AbDiff = std::max(AbDiff,
                         maxAbsDifference(Span.Pool[Out], Jit.Pool[Out]));
     }
@@ -215,12 +207,10 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(S.FramesReused),
               static_cast<unsigned long long>(S.FramesAllocated));
   std::printf("max |warm - cold| over destinations: %g\n", MaxDiff);
-  std::printf("interior A/B (best of %d): scalar %.3f ms, span %.3f ms, "
-              "jit %.3f ms; span-over-scalar %.2fx, jit-over-span %.2fx, "
-              "jit-over-scalar %.2fx; max pairwise |diff| over "
-              "destinations: %g\n",
-              AbReps, Scalar.InteriorMs, Span.InteriorMs, Jit.InteriorMs,
-              SpanSpeedup, JitOverSpan, JitOverScalar, AbDiff);
+  std::printf("interior A/B (best of %d): span %.3f ms, jit %.3f ms; "
+              "jit-over-span %.2fx; max |span - jit| over destinations: "
+              "%g\n",
+              AbReps, Span.InteriorMs, Jit.InteriorMs, JitOverSpan, AbDiff);
 
   char Section[1024];
   std::snprintf(
@@ -231,15 +221,15 @@ int main(int Argc, char **Argv) {
       "\"cold_frames_per_sec\": %.4f, \"warm_frames_per_sec\": %.4f, "
       "\"warm_over_cold\": %.4f, \"session_cold_start_ms\": %.4f, "
       "\"plan_cache_hits\": %llu, \"plan_cache_misses\": %llu, "
-      "\"interior_scalar_ms\": %.4f, \"interior_span_ms\": %.4f, "
-      "\"span_over_scalar_interior\": %.4f}",
+      "\"interior_span_ms\": %.4f, \"interior_jit_ms\": %.4f, "
+      "\"jit_over_span_interior\": %.4f}",
       AppName.c_str(), Width, Height, Frames,
       resolveThreadCount(Options.Threads),
       vmModeName(resolveVmMode(Options.Mode)), ColdMs, WarmMs, ColdFps,
       WarmFps, WarmFps / ColdFps, PrimeMs,
       static_cast<unsigned long long>(S.PlanHits),
-      static_cast<unsigned long long>(S.PlanMisses), Scalar.InteriorMs,
-      Span.InteriorMs, SpanSpeedup);
+      static_cast<unsigned long long>(S.PlanMisses), Span.InteriorMs,
+      Jit.InteriorMs, JitOverSpan);
   if (spliceJsonSection(OutFile, "frame_throughput", Section))
     std::printf("\nappended frame_throughput section to %s\n",
                 OutFile.c_str());
@@ -254,12 +244,10 @@ int main(int Argc, char **Argv) {
       Section, sizeof(Section),
       "{\"app\": \"%s\", \"width\": %d, \"height\": %d, "
       "\"threads\": %u, \"ab_reps\": %d, "
-      "\"interior_scalar_ms\": %.4f, \"interior_span_ms\": %.4f, "
-      "\"interior_jit_ms\": %.4f, \"jit_over_span_interior\": %.4f, "
-      "\"jit_over_scalar_interior\": %.4f, \"max_abs_diff\": %g}",
+      "\"interior_span_ms\": %.4f, \"interior_jit_ms\": %.4f, "
+      "\"jit_over_span_interior\": %.4f, \"max_abs_diff\": %g}",
       AppName.c_str(), Width, Height, resolveThreadCount(Options.Threads),
-      AbReps, Scalar.InteriorMs, Span.InteriorMs, Jit.InteriorMs,
-      JitOverSpan, JitOverScalar, AbDiff);
+      AbReps, Span.InteriorMs, Jit.InteriorMs, JitOverSpan, AbDiff);
   if (spliceJsonSection(OutFile, "jit_speedup", Section))
     std::printf("appended jit_speedup section to %s\n", OutFile.c_str());
   else {
@@ -377,15 +365,11 @@ int main(int Argc, char **Argv) {
               "narrows at 1 thread where only the saved\ncompile, "
               "allocation, and zero-fill passes remain. Outputs are "
               "bit-identical\n(max |warm - cold| must print 0).\n\n"
-              "The interior A/B swaps per-pixel bytecode dispatch "
-              "(scalar) for lane-batched\nspan interpretation and for "
-              "the JIT's per-plan cell chains over the same\nlaunches: "
-              "span should beat scalar clearly (the register working set "
-              "stays\nL1-resident and the per-op loops vectorize), and "
-              "jit should shave a further\nmargin off span by removing "
-              "the switch-per-instruction-per-chunk dispatch.\nAll "
-              "three must stay bit-identical (max pairwise |diff| must "
-              "print 0).\n\n"
+              "The interior A/B swaps lane-batched span interpretation "
+              "for the JIT's per-plan\ncell chains over the same "
+              "launches: jit should beat span by removing the\n"
+              "switch-per-instruction-per-chunk dispatch. Both must stay "
+              "bit-identical\n(max |span - jit| must print 0).\n\n"
               "The optimizer A/B compiles the same plans with the "
               "interval-fact-gated bytecode\noptimizer on vs off: "
               "guard-heavy pipelines (decidable clamps and selects, "

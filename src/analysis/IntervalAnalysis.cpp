@@ -361,6 +361,11 @@ kf::analyzeStagedIntervals(const StagedVmProgram &SP, uint16_t Root,
       case VmOp::StageCall:
         R = Inst.Sel < SI ? Out.Stages[Inst.Sel].Result
                           : RegInterval::full();
+        // Likewise for exterior calls: the index exchange of a
+        // constant-border consumer yields the border constant instead of
+        // evaluating the producer.
+        if (Stage.Border == BorderMode::Constant)
+          R.joinValue(Stage.BorderConstant);
         break;
       case VmOp::Add:
         R = transferAdd(A, B, /*Subtract=*/false);

@@ -20,8 +20,6 @@ VmMode kf::resolveVmMode(VmMode Requested, bool JitAvailable) {
   if (Requested != VmMode::Auto)
     return Requested;
   if (const char *Env = std::getenv("KF_VM")) {
-    if (std::strcmp(Env, "scalar") == 0)
-      return VmMode::Scalar;
     if (std::strcmp(Env, "span") == 0)
       return VmMode::Span;
     if (std::strcmp(Env, "jit") == 0)
@@ -32,8 +30,8 @@ VmMode kf::resolveVmMode(VmMode Requested, bool JitAvailable) {
     static std::atomic<bool> Warned{false};
     if (!Warned.exchange(true))
       std::fprintf(stderr,
-                   "warning: ignoring invalid KF_VM='%s' (expected 'scalar', "
-                   "'span' or 'jit'); using the default\n",
+                   "warning: ignoring invalid KF_VM='%s' (expected 'span' or "
+                   "'jit'); using the default\n",
                    Env);
   }
   // Auto prefers the JIT artifact when the caller already holds one (the
@@ -45,8 +43,6 @@ const char *kf::vmModeName(VmMode Mode) {
   switch (Mode) {
   case VmMode::Auto:
     return "auto";
-  case VmMode::Scalar:
-    return "scalar";
   case VmMode::Span:
     return "span";
   case VmMode::Jit:
@@ -133,13 +129,13 @@ struct StencilBinding {
   bool Active = false;
 };
 
-/// Recursive compiler from expression trees to the linear VM form. When
-/// \p Eliminated maps an input image to a stage index, reads of that
-/// image compile to StageCall instructions (fused-kernel compilation).
+/// Recursive compiler from expression trees to the linear VM form. Reads
+/// of an input image that \p Eliminated maps to a stage index compile to
+/// StageCall instructions (fused-kernel compilation).
 class VmCompiler {
 public:
-  VmCompiler(const Program &P, const Kernel *K = nullptr,
-             const std::map<ImageId, uint16_t> *Eliminated = nullptr)
+  VmCompiler(const Program &P, const Kernel &K,
+             const std::map<ImageId, uint16_t> &Eliminated)
       : P(P), K(K), Eliminated(Eliminated) {}
 
   VmProgram compile(const Expr *Body) {
@@ -210,13 +206,10 @@ private:
         Inst.Oy = static_cast<int16_t>(Env.Dy);
       }
       Inst.Channel = static_cast<int16_t>(E->Channel);
-      if (Eliminated) {
-        assert(K && "staged compilation needs the owning kernel");
-        auto Stage = Eliminated->find(K->Inputs[E->InputIdx]);
-        if (Stage != Eliminated->end()) {
-          Inst.Op = VmOp::StageCall;
-          Inst.Sel = Stage->second;
-        }
+      auto Stage = Eliminated.find(K.Inputs[E->InputIdx]);
+      if (Stage != Eliminated.end()) {
+        Inst.Op = VmOp::StageCall;
+        Inst.Sel = Stage->second;
       }
       VM.Insts.push_back(Inst);
       return Inst.Dst;
@@ -336,13 +329,13 @@ private:
   }
 
   const Program &P;
-  const Kernel *K;
-  const std::map<ImageId, uint16_t> *Eliminated;
+  const Kernel &K;
+  const std::map<ImageId, uint16_t> &Eliminated;
   unsigned NextReg = 0;
 };
 
-/// Evaluates one non-load, non-call instruction into \p Regs. Shared by
-/// the scalar evaluators.
+/// Evaluates one non-load, non-call instruction into \p Regs: the ALU
+/// half of the per-pixel bordered evaluator.
 inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
   switch (Inst.Op) {
   case VmOp::Const:
@@ -409,55 +402,6 @@ inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
 }
 
 } // namespace
-
-VmProgram kf::compileKernelBody(const Program &P, KernelId Id) {
-  VmCompiler Compiler(P);
-  return Compiler.compile(P.kernel(Id).Body);
-}
-
-int kf::vmHalo(const VmProgram &VM) {
-  int Halo = 0;
-  for (const VmInst &Inst : VM.Insts)
-    if (Inst.Op == VmOp::Load || Inst.Op == VmOp::StageCall)
-      Halo = std::max(Halo,
-                      std::max(std::abs(static_cast<int>(Inst.Ox)),
-                               std::abs(static_cast<int>(Inst.Oy))));
-  return Halo;
-}
-
-/// Shared evaluation loop; \p Bordered selects bordered vs direct loads.
-template <bool Bordered>
-static float runVmImpl(const VmProgram &VM, const Program &P, KernelId Id,
-                       const std::vector<Image> &Pool, int X, int Y,
-                       int Channel, float *Regs) {
-  const Kernel &K = P.kernel(Id);
-  for (const VmInst &Inst : VM.Insts) {
-    if (Inst.Op == VmOp::Load) {
-      const Image &Img = Pool[K.Inputs[Inst.InputIdx]];
-      int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      if (Bordered)
-        Regs[Inst.Dst] = sampleWithBorder(Img, X + Inst.Ox, Y + Inst.Oy,
-                                          Ch, K.Border, K.BorderConstant);
-      else
-        Regs[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, Ch);
-      continue;
-    }
-    evalAluInst(Inst, Regs, X, Y);
-  }
-  return Regs[VM.ResultReg];
-}
-
-float kf::runVm(const VmProgram &VM, const Program &P, KernelId Id,
-                const std::vector<Image> &Pool, int X, int Y, int Channel,
-                float *Regs) {
-  return runVmImpl<true>(VM, P, Id, Pool, X, Y, Channel, Regs);
-}
-
-float kf::runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
-                        const std::vector<Image> &Pool, int X, int Y,
-                        int Channel, float *Regs) {
-  return runVmImpl<false>(VM, P, Id, Pool, X, Y, Channel, Regs);
-}
 
 //===----------------------------------------------------------------------===//
 // Row-wise (instruction-major) interior evaluation
@@ -616,36 +560,6 @@ void evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
 
 } // namespace
 
-void kf::runVmRow(const VmProgram &VM, const Program &P, KernelId Id,
-                  const std::vector<Image> &Pool, int Y, int X0, int X1,
-                  int Channel, float *RowRegs, float *Out, int OutStride) {
-  if (X1 <= X0)
-    return;
-  const Kernel &K = P.kernel(Id);
-  evalRowImpl(VM, Pool, K.Inputs, Y, X0, X1, Channel, RowRegs, Out,
-              OutStride, [](const VmInst &, float *) {
-                KF_UNREACHABLE("StageCall in a plain kernel body");
-              });
-}
-
-void kf::runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
-                   const std::vector<Image> &Pool, int Y, int X0, int X1,
-                   int Channel, float *LaneRegs, float *Out, int OutStride) {
-  const Kernel &K = P.kernel(Id);
-  // Chunk the span into lanes: every chunk's per-register stride is its
-  // own width (at most VmLaneWidth), so the register file of a chunk
-  // stays within the fixed lane buffer. The tail chunk simply runs the
-  // same contiguous loops with a smaller bound.
-  for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
-    const int C1 = std::min(X1, C0 + VmLaneWidth);
-    evalRowImpl(VM, Pool, K.Inputs, Y, C0, C1, Channel, LaneRegs,
-                Out + static_cast<size_t>(C0 - X0) * OutStride, OutStride,
-                [](const VmInst &, float *) {
-                  KF_UNREACHABLE("StageCall in a plain kernel body");
-                });
-  }
-}
-
 //===----------------------------------------------------------------------===//
 // Staged (fused-kernel) programs
 //===----------------------------------------------------------------------===//
@@ -680,7 +594,7 @@ kf::compileStagedProgram(const Program &P,
   for (size_t I = 0; I != StageKernels.size(); ++I) {
     const Kernel &K = P.kernel(StageKernels[I]);
     VmStage Stage;
-    VmCompiler Compiler(P, &K, &Eliminated);
+    VmCompiler Compiler(P, K, Eliminated);
     Stage.Code = Compiler.compile(K.Body);
     Stage.Inputs = K.Inputs;
     Stage.Border = K.Border;
@@ -717,10 +631,8 @@ kf::compileStagedProgram(const Program &P,
 
 namespace {
 
-/// Scalar staged evaluation; \p Bordered selects the halo-correct slow
-/// path (bordered loads, index-exchanged stage calls) vs the interior
-/// fast path (direct loads, unchecked calls).
-template <bool Bordered>
+/// Per-pixel staged evaluation with full border handling: bordered loads
+/// and index-exchanged stage calls (the halo-correct slow path).
 float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
                    const std::vector<Image> &Pool, int X, int Y, int Channel,
                    float *Regs, bool UseIndexExchange) {
@@ -732,12 +644,8 @@ float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
       const Image &Img = Pool[Stage.Inputs[Inst.InputIdx]];
       assert(!Img.empty() && "reading an unmaterialized image");
       int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      if (Bordered)
-        Frame[Inst.Dst] =
-            sampleWithBorder(Img, X + Inst.Ox, Y + Inst.Oy, Ch,
-                             Stage.Border, Stage.BorderConstant);
-      else
-        Frame[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, Ch);
+      Frame[Inst.Dst] = sampleWithBorder(Img, X + Inst.Ox, Y + Inst.Oy, Ch,
+                                         Stage.Border, Stage.BorderConstant);
       break;
     }
     case VmOp::StageCall: {
@@ -745,27 +653,25 @@ float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
       int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
       int TX = X + Inst.Ox;
       int TY = Y + Inst.Oy;
-      if (Bordered) {
-        bool Exterior = TX < 0 || TX >= Callee.OutW || TY < 0 ||
-                        TY >= Callee.OutH;
-        if (Exterior && UseIndexExchange) {
-          // Index exchange (Section IV-B): exterior accesses to the
-          // eliminated intermediate are exchanged per the *consuming*
-          // stage's border handling before the producer is evaluated.
-          int EX = exchangeIndex(TX, Callee.OutW, Stage.Border);
-          int EY = exchangeIndex(TY, Callee.OutH, Stage.Border);
-          if (EX < 0 || EY < 0) {
-            Frame[Inst.Dst] = Stage.BorderConstant;
-            break;
-          }
-          TX = EX;
-          TY = EY;
+      bool Exterior =
+          TX < 0 || TX >= Callee.OutW || TY < 0 || TY >= Callee.OutH;
+      if (Exterior && UseIndexExchange) {
+        // Index exchange (Section IV-B): exterior accesses to the
+        // eliminated intermediate are exchanged per the *consuming*
+        // stage's border handling before the producer is evaluated.
+        int EX = exchangeIndex(TX, Callee.OutW, Stage.Border);
+        int EY = exchangeIndex(TY, Callee.OutH, Stage.Border);
+        if (EX < 0 || EY < 0) {
+          Frame[Inst.Dst] = Stage.BorderConstant;
+          break;
         }
-        // Without the exchange the producer is (incorrectly) evaluated
-        // at the raw exterior position -- reproducing Figure 4b.
+        TX = EX;
+        TY = EY;
       }
-      Frame[Inst.Dst] = evalStagedVm<Bordered>(SP, Inst.Sel, Pool, TX, TY,
-                                               Ch, Regs, UseIndexExchange);
+      // Without the exchange the producer is (incorrectly) evaluated at
+      // the raw exterior position -- reproducing Figure 4b.
+      Frame[Inst.Dst] = evalStagedVm(SP, Inst.Sel, Pool, TX, TY, Ch, Regs,
+                                     UseIndexExchange);
       break;
     }
     default:
@@ -781,52 +687,37 @@ float evalStagedVm(const StagedVmProgram &SP, uint16_t StageIdx,
 float kf::runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
                       const std::vector<Image> &Pool, int X, int Y,
                       int Channel, float *Regs, bool UseIndexExchange) {
-  return evalStagedVm<true>(SP, RootStage, Pool, X, Y, Channel, Regs,
-                            UseIndexExchange);
-}
-
-float kf::runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
-                              const std::vector<Image> &Pool, int X, int Y,
-                              int Channel, float *Regs) {
-  return evalStagedVm<false>(SP, RootStage, Pool, X, Y, Channel, Regs, true);
+  return evalStagedVm(SP, RootStage, Pool, X, Y, Channel, Regs,
+                      UseIndexExchange);
 }
 
 namespace {
 
-/// Row-wise interior evaluation of one stage over columns [X0, X1) of
-/// row \p Y. Stage calls recurse row-wise too -- the callee streams its
-/// subprogram across the (offset-shifted) scanline straight into the
-/// caller's destination row register -- so the whole staged program
-/// stays instruction-major. \p RowRegs holds SP.NumRegs * RowWidth
-/// floats partitioned by the stages' RegBase frames; the acyclic call
-/// graph guarantees a stage never reuses a live frame, and sequential
-/// calls to the same callee simply overwrite its frame.
-void evalStagedRow(const StagedVmProgram &SP, uint16_t StageIdx,
-                   const std::vector<Image> &Pool, int Y, int X0, int X1,
-                   int Channel, float *RowRegs, size_t RowWidth, float *Out,
-                   int OutStride) {
+/// Instruction-major interior evaluation of one stage over the chunk
+/// [X0, X1) of row \p Y (at most VmLaneWidth pixels). Stage calls recurse
+/// chunk-wise too -- the callee streams its subprogram across the
+/// (offset-shifted) chunk straight into the caller's destination lanes --
+/// so the whole staged program stays instruction-major. \p LaneRegs holds
+/// SP.NumRegs * VmLaneWidth floats partitioned by the stages' RegBase
+/// frames; the acyclic call graph guarantees a stage never reuses a live
+/// frame, and sequential calls to the same callee simply overwrite its
+/// frame.
+void evalStagedChunk(const StagedVmProgram &SP, uint16_t StageIdx,
+                     const std::vector<Image> &Pool, int Y, int X0, int X1,
+                     int Channel, float *LaneRegs, float *Out,
+                     int OutStride) {
   const VmStage &Stage = SP.Stages[StageIdx];
-  float *Frame = RowRegs + static_cast<size_t>(Stage.RegBase) * RowWidth;
+  float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
   evalRowImpl(Stage.Code, Pool, Stage.Inputs, Y, X0, X1, Channel, Frame,
               Out, OutStride, [&](const VmInst &Inst, float *D) {
                 int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-                evalStagedRow(SP, Inst.Sel, Pool, Y + Inst.Oy,
-                              X0 + Inst.Ox, X1 + Inst.Ox, Ch, RowRegs,
-                              RowWidth, D, 1);
+                evalStagedChunk(SP, Inst.Sel, Pool, Y + Inst.Oy,
+                                X0 + Inst.Ox, X1 + Inst.Ox, Ch, LaneRegs, D,
+                                1);
               });
 }
 
 } // namespace
-
-void kf::runStagedVmRow(const StagedVmProgram &SP, uint16_t RootStage,
-                        const std::vector<Image> &Pool, int Y, int X0,
-                        int X1, int Channel, float *RowRegs, float *Out,
-                        int OutStride) {
-  if (X1 <= X0)
-    return;
-  evalStagedRow(SP, RootStage, Pool, Y, X0, X1, Channel, RowRegs,
-                static_cast<size_t>(X1 - X0), Out, OutStride);
-}
 
 void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                          const std::vector<Image> &Pool, int Y, int X0,
@@ -837,13 +728,13 @@ void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
   // chunk width (<= VmLaneWidth), so no frame ever overruns into its
   // neighbour (the validator's KF-B11 invariant) and the whole register
   // working set is SP.NumRegs * VmLaneWidth floats. StageCall recursion
-  // inside evalStagedRow shifts the chunk's column range per call, so the
-  // callee streams over exactly the caller's lanes.
+  // inside evalStagedChunk shifts the chunk's column range per call, so
+  // the callee streams over exactly the caller's lanes.
   for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
     const int C1 = std::min(X1, C0 + VmLaneWidth);
-    evalStagedRow(SP, RootStage, Pool, Y, C0, C1, Channel, LaneRegs,
-                  static_cast<size_t>(VmLaneWidth),
-                  Out + static_cast<size_t>(C0 - X0) * OutStride, OutStride);
+    evalStagedChunk(SP, RootStage, Pool, Y, C0, C1, Channel, LaneRegs,
+                    Out + static_cast<size_t>(C0 - X0) * OutStride,
+                    OutStride);
   }
 }
 
@@ -923,77 +814,37 @@ struct PlaneView {
 /// Evaluates stage \p StageIdx of \p SP over region
 /// [RX0, RX1) x [RY0, RY1) at channel \p Ch, resolving StageCall ops
 /// against the plane views of \p Resolve, writing result (x, y) to
-/// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride]. Span mode streams
-/// evalRowImpl chunks (plane reads are contiguous row copies); scalar
-/// mode dispatches per pixel. Both run exactly the instruction streams
-/// the interior/halo strategy runs, so values are bit-identical.
+/// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride]. Rows stream through
+/// evalRowImpl in lane chunks (plane reads are contiguous row copies),
+/// running exactly the instruction streams the interior/halo strategy
+/// runs, so values are bit-identical.
 template <class ResolveFn>
 void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
                        const std::vector<Image> &Pool, int RX0, int RX1,
-                       int RY0, int RY1, int Ch, VmMode Mode, float *Regs,
+                       int RY0, int RY1, int Ch, float *LaneRegs,
                        float *Dst, size_t DstPitch, int DstStride,
                        ResolveFn &&Resolve) {
   const VmStage &Stage = SP.Stages[StageIdx];
-  if (Mode == VmMode::Span) {
-    float *Frame =
-        Regs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
-    for (int Y = RY0; Y != RY1; ++Y) {
-      float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-      for (int C0 = RX0; C0 < RX1; C0 += VmLaneWidth) {
-        const int C1 = std::min(RX1, C0 + VmLaneWidth);
-        evalRowImpl(
-            Stage.Code, Pool, Stage.Inputs, Y, C0, C1, Ch, Frame,
-            DstRow + static_cast<size_t>(C0 - RX0) * DstStride, DstStride,
-            [&](const VmInst &Inst, float *D) {
-              const PlaneView &V =
-                  Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
-              assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
-                     C0 + Inst.Ox >= V.X0 &&
-                     C1 - 1 + Inst.Ox < V.X0 + V.W &&
-                     "plane read outside the materialized margin");
-              const float *Src =
-                  V.Data +
-                  static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
-                  (C0 + Inst.Ox - V.X0);
-              for (int I = 0; I != C1 - C0; ++I)
-                D[I] = Src[I];
-            });
-      }
-    }
-    return;
-  }
-
-  // Scalar mode: per-pixel dispatch, stage calls are O(1) plane reads
-  // (no recursion -- the recompute already happened into the planes).
-  float *Frame = Regs + Stage.RegBase;
+  float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
   for (int Y = RY0; Y != RY1; ++Y) {
-    float *Px = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-    for (int X = RX0; X != RX1; ++X, Px += DstStride) {
-      for (const VmInst &Inst : Stage.Code.Insts) {
-        switch (Inst.Op) {
-        case VmOp::Load: {
-          const Image &Img = Pool[Stage.Inputs[Inst.InputIdx]];
-          int LCh = Inst.Channel < 0 ? Ch : Inst.Channel;
-          Frame[Inst.Dst] = Img.at(X + Inst.Ox, Y + Inst.Oy, LCh);
-          break;
-        }
-        case VmOp::StageCall: {
-          const PlaneView &V =
-              Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
-          assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
-                 X + Inst.Ox >= V.X0 && X + Inst.Ox < V.X0 + V.W &&
-                 "plane read outside the materialized margin");
-          Frame[Inst.Dst] =
-              V.Data[static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
-                     (X + Inst.Ox - V.X0)];
-          break;
-        }
-        default:
-          evalAluInst(Inst, Frame, X, Y);
-          break;
-        }
-      }
-      *Px = Frame[Stage.Code.ResultReg];
+    float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
+    for (int C0 = RX0; C0 < RX1; C0 += VmLaneWidth) {
+      const int C1 = std::min(RX1, C0 + VmLaneWidth);
+      evalRowImpl(
+          Stage.Code, Pool, Stage.Inputs, Y, C0, C1, Ch, Frame,
+          DstRow + static_cast<size_t>(C0 - RX0) * DstStride, DstStride,
+          [&](const VmInst &Inst, float *D) {
+            const PlaneView &V =
+                Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
+            assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
+                   C0 + Inst.Ox >= V.X0 && C1 - 1 + Inst.Ox < V.X0 + V.W &&
+                   "plane read outside the materialized margin");
+            const float *Src =
+                V.Data + static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
+                (C0 + Inst.Ox - V.X0);
+            for (int I = 0; I != C1 - C0; ++I)
+              D[I] = Src[I];
+          });
     }
   }
 }
@@ -1003,11 +854,10 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
 void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                            const OverlapSchedule &Schedule,
                            const std::vector<Image> &Pool, int X0, int X1,
-                           int Y0, int Y1, int Channels, VmMode Mode,
-                           float *PlaneScratch, float *Regs, float *OutBase,
-                           int OutWidth, OverlapTileStats *Stats) {
+                           int Y0, int Y1, int Channels, float *PlaneScratch,
+                           float *LaneRegs, float *OutBase, int OutWidth,
+                           OverlapTileStats *Stats) {
   assert(Schedule.Valid && "overlapped execution without a valid schedule");
-  assert(Mode != VmMode::Auto && "tile execution needs a resolved mode");
   const int RootW = X1 - X0, RootH = Y1 - Y0;
   if (RootW <= 0 || RootH <= 0)
     return;
@@ -1043,7 +893,7 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
     for (size_t I = 0; I != Planes.size(); ++I) {
       const PlaneView &V = Views[I];
       evalOverlapRegion(SP, Planes[I].Stage, Pool, V.X0, V.X0 + V.W, V.Y0,
-                        V.Y0 + V.H, Planes[I].Channel, Mode, Regs, V.Data,
+                        V.Y0 + V.H, Planes[I].Channel, LaneRegs, V.Data,
                         V.W, 1, Resolve);
       if (Stats) {
         const long long Area = static_cast<long long>(V.W) * V.H;
@@ -1051,7 +901,7 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
         Stats->ComputedPixels += Area;
       }
     }
-    evalOverlapRegion(SP, Root, Pool, X0, X1, Y0, Y1, C, Mode, Regs,
+    evalOverlapRegion(SP, Root, Pool, X0, X1, Y0, Y1, C, LaneRegs,
                       OutBase +
                           (static_cast<size_t>(Y0) * OutWidth + X0) *
                               Channels +
@@ -1060,66 +910,5 @@ void kf::runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                       Resolve);
     if (Stats)
       Stats->ComputedPixels += RootArea;
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Serial unfused driver (the parallel one lives in sim/Executor)
-//===----------------------------------------------------------------------===//
-
-void kf::runUnfusedVm(const Program &P, std::vector<Image> &Pool) {
-  assert(Pool.size() == P.numImages() && "pool size mismatch");
-  std::optional<std::vector<Digraph::NodeId>> Order =
-      P.buildKernelDag().topologicalOrder();
-  assert(Order && "kernel DAG has a cycle");
-
-  std::vector<float> Regs;
-  std::vector<float> RowRegs;
-  for (KernelId Id : *Order) {
-    const Kernel &K = P.kernel(Id);
-    const ImageInfo &Info = P.image(K.Output);
-    VmProgram VM = compileKernelBody(P, Id);
-    Regs.resize(std::max<size_t>(Regs.size(), VM.NumRegs));
-    Image Out(Info.Width, Info.Height, Info.Channels);
-
-    // Interior/halo decomposition (the Section IV-B regions): the
-    // interior takes the row-wise direct-indexing fast path, only the
-    // halo pays for border handling. Inputs of an unfused kernel always
-    // match the output extent in the bundled pipelines, but guard
-    // against mismatched extents by keeping the halo conservative.
-    int Halo = vmHalo(VM);
-    for (ImageId In : K.Inputs) {
-      const ImageInfo &InInfo = P.image(In);
-      if (InInfo.Width != Info.Width || InInfo.Height != Info.Height)
-        Halo = std::max(Info.Width, Info.Height);
-    }
-    int X0 = std::min(Halo, Info.Width);
-    int Y0 = std::min(Halo, Info.Height);
-    int X1 = std::max(X0, Info.Width - Halo);
-    int Y1 = std::max(Y0, Info.Height - Halo);
-
-    // Span-mode interior: the lane buffer is VM.NumRegs * VmLaneWidth
-    // floats regardless of the image width.
-    RowRegs.resize(std::max<size_t>(
-        RowRegs.size(),
-        static_cast<size_t>(VM.NumRegs) * VmLaneWidth));
-    if (X0 < X1)
-      for (int Y = Y0; Y < Y1; ++Y)
-        for (int Ch = 0; Ch != Info.Channels; ++Ch)
-          runVmSpan(VM, P, Id, Pool, Y, X0, X1, Ch, RowRegs.data(),
-                    Out.data().data() +
-                        (static_cast<size_t>(Y) * Info.Width + X0) *
-                            Info.Channels +
-                        Ch,
-                    Info.Channels);
-    for (int Y = 0; Y != Info.Height; ++Y)
-      for (int X = 0; X != Info.Width; ++X) {
-        bool Interior = X >= X0 && X < X1 && Y >= Y0 && Y < Y1;
-        if (Interior)
-          continue;
-        for (int Ch = 0; Ch != Info.Channels; ++Ch)
-          Out.at(X, Y, Ch) = runVm(VM, P, Id, Pool, X, Y, Ch, Regs.data());
-      }
-    Pool[K.Output] = std::move(Out);
   }
 }

@@ -7,23 +7,23 @@
 /// folding mask coefficients and window offsets into immediate operands
 /// -- and then evaluates a flat instruction stream into a register file.
 ///
-/// Fused kernels compile to a *staged* VM program (StagedVmProgram): one
+/// Every launch compiles to a *staged* VM program (StagedVmProgram): one
 /// subprogram per original kernel, where reads of eliminated intermediates
 /// become StageCall instructions that evaluate the producer's subprogram at
 /// an offset-shifted position -- the runtime mirror of the recompute-based
 /// fusion of Section IV, including the index-exchange border handling of
-/// Section IV-B. Interior evaluation (runVmInterior / runStagedVmInterior /
-/// the row-wise variants) skips every border check, implementing the
-/// interior/halo specialization the generated GPU code performs.
-///
-/// Interior evaluation comes in two selectable modes (VmMode):
-///   - span (the default): each instruction streams across a whole row
-///     span through fixed-width lane buffers (VmLaneWidth floats per
-///     register, structure-of-arrays), written as plain contiguous loops
-///     the compiler autovectorizes; tail chunks narrower than a lane run
-///     the same loops with a smaller bound.
-///   - scalar: per-pixel bytecode dispatch -- the escape hatch and the
-///     honest baseline the span-vs-scalar benchmarks compare against.
+/// Section IV-B. An unfused kernel is simply a single-stage program. Two
+/// evaluators share the instruction set:
+///   - the interior span path (runStagedVmSpan) skips every border check,
+///     implementing the interior/halo specialization the generated GPU
+///     code performs: each instruction streams across a row span through
+///     fixed-width lane buffers (VmLaneWidth floats per register,
+///     structure-of-arrays), written as plain contiguous loops the
+///     compiler autovectorizes; tail chunks narrower than a lane run the
+///     same loops with a smaller bound. The JIT (src/jit) compiles the
+///     same validated bytecode into chains of specialized op cells.
+///   - the bordered per-pixel path (runStagedVm) evaluates the halo with
+///     bordered loads and index-exchanged stage calls.
 ///
 /// This is the evaluation path the benchmarks use for large images; the
 /// tree walker stays the semantic reference (the test suite asserts
@@ -44,13 +44,10 @@ namespace kf {
 
 /// How the VM engines evaluate interior pixels.
 enum class VmMode : uint8_t {
-  /// Resolve via the KF_VM environment variable ("scalar", "span" or
-  /// "jit"). When unset or malformed, Auto prefers a JIT-compiled
-  /// artifact if the launch carries one and falls back to Span.
+  /// Resolve via the KF_VM environment variable ("span" or "jit"). When
+  /// unset or malformed, Auto prefers a JIT-compiled artifact if the
+  /// launch carries one and falls back to Span.
   Auto,
-  /// Per-pixel bytecode dispatch over the interior (the pre-span
-  /// behaviour): one pass over the instruction stream per pixel.
-  Scalar,
   /// Batched row-span execution: each instruction runs across a whole
   /// span of interior pixels through fixed-width lane buffers.
   Span,
@@ -63,14 +60,13 @@ enum class VmMode : uint8_t {
 };
 
 /// Resolves \p Requested against the KF_VM environment variable: an
-/// explicit Scalar/Span/Jit request wins; Auto consults KF_VM and, when
+/// explicit Span/Jit request wins; Auto consults KF_VM and, when
 /// it is unset or malformed (warning once per process), resolves to Jit
 /// if \p JitAvailable -- the caller holds a compiled JIT artifact for the
 /// launch -- and to Span otherwise.
 VmMode resolveVmMode(VmMode Requested, bool JitAvailable = false);
 
-/// Stable lower-case name of \p Mode ("auto" / "scalar" / "span" /
-/// "jit").
+/// Stable lower-case name of \p Mode ("auto" / "span" / "jit").
 const char *vmModeName(VmMode Mode);
 
 /// How a fused launch decomposes the image across tiles.
@@ -178,7 +174,7 @@ struct VmInst {
   int16_t Channel = -1; ///< Load/StageCall: -1 = current channel.
 };
 
-/// A compiled kernel body.
+/// A compiled kernel body: the code of one stage of a StagedVmProgram.
 struct VmProgram {
   std::vector<VmInst> Insts;
   uint16_t ResultReg = 0;
@@ -186,52 +182,6 @@ struct VmProgram {
 
   bool empty() const { return Insts.empty(); }
 };
-
-/// Compiles kernel \p Id of \p P. Stencil reductions are fully unrolled:
-/// the instruction count grows with the mask sizes.
-VmProgram compileKernelBody(const Program &P, KernelId Id);
-
-/// Evaluates \p VM for kernel \p Id at (X, Y, Channel), reading inputs
-/// from \p Pool with the kernel's border handling. \p Regs is scratch
-/// space of at least VM.NumRegs floats (caller-owned to avoid per-pixel
-/// allocation).
-float runVm(const VmProgram &VM, const Program &P, KernelId Id,
-            const std::vector<Image> &Pool, int X, int Y, int Channel,
-            float *Regs);
-
-/// Interior fast path: like runVm but loads index the images directly,
-/// skipping border handling. Only valid when every access of the body
-/// stays in bounds -- i.e. (X, Y) lies in the kernel's interior region
-/// (the same interior/halo decomposition Section IV-B uses for the
-/// fused kernels).
-float runVmInterior(const VmProgram &VM, const Program &P, KernelId Id,
-                    const std::vector<Image> &Pool, int X, int Y,
-                    int Channel, float *Regs);
-
-/// Row-wise interior evaluation: computes pixels [X0, X1) of row \p Y for
-/// \p Channel in one call, writing result i to Out[i * OutStride]. The
-/// instruction stream is executed instruction-major -- each op streams
-/// across the whole scanline -- which amortizes per-pixel dispatch and
-/// lets the compiler vectorize the inner loops. \p RowRegs must hold
-/// VM.NumRegs * (X1 - X0) floats. Interior-only, like runVmInterior.
-void runVmRow(const VmProgram &VM, const Program &P, KernelId Id,
-              const std::vector<Image> &Pool, int Y, int X0, int X1,
-              int Channel, float *RowRegs, float *Out, int OutStride = 1);
-
-/// Span-mode interior evaluation: like runVmRow, but the span [X0, X1) is
-/// chunked into lanes of at most VmLaneWidth pixels and each chunk runs
-/// instruction-major through a fixed-size lane buffer, so the register
-/// working set is VM.NumRegs * VmLaneWidth floats regardless of the span
-/// width (L1-resident where full-row frames spill). \p LaneRegs must hold
-/// VM.NumRegs * VmLaneWidth floats. Bit-identical to runVmRow and to
-/// per-pixel runVmInterior.
-void runVmSpan(const VmProgram &VM, const Program &P, KernelId Id,
-               const std::vector<Image> &Pool, int Y, int X0, int X1,
-               int Channel, float *LaneRegs, float *Out, int OutStride = 1);
-
-/// The largest absolute load offset of \p VM on either axis: the kernel's
-/// access halo, bounding the region where border handling can trigger.
-int vmHalo(const VmProgram &VM);
 
 /// One stage of a staged (fused-kernel) VM program.
 struct VmStage {
@@ -268,7 +218,8 @@ struct StagedVmProgram {
 /// staged program. \p IsEliminated[i] marks stages whose output image is
 /// eliminated by fusion: reads of those images from later stages become
 /// StageCall instructions instead of pool loads. sim/Executor uses this
-/// to compile FusedKernels (compileFusedKernel).
+/// to compile FusedKernels (compileFusedKernel); an unfused kernel is a
+/// single stage with no eliminated inputs.
 StagedVmProgram compileStagedProgram(const Program &P,
                                      const std::vector<KernelId> &StageKernels,
                                      const std::vector<bool> &IsEliminated);
@@ -283,25 +234,6 @@ float runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
                   const std::vector<Image> &Pool, int X, int Y, int Channel,
                   float *Regs, bool UseIndexExchange = true);
 
-/// Interior fast path: direct loads, unchecked stage calls. Valid only
-/// when (X, Y) is at least SP.Reach[RootStage] away from every border
-/// (and SP.UniformExtents holds).
-float runStagedVmInterior(const StagedVmProgram &SP, uint16_t RootStage,
-                          const std::vector<Image> &Pool, int X, int Y,
-                          int Channel, float *Regs);
-
-/// Row-wise interior evaluation of a staged program: every stage's
-/// instruction stream runs instruction-major across the scanline --
-/// StageCall ops recurse row-wise, streaming the callee's subprogram
-/// over the offset-shifted column range straight into the caller's
-/// destination row register. \p RowRegs must hold
-/// SP.NumRegs * (X1 - X0) floats (one row-register frame per stage,
-/// partitioned by VmStage::RegBase).
-void runStagedVmRow(const StagedVmProgram &SP, uint16_t RootStage,
-                    const std::vector<Image> &Pool, int Y, int X0, int X1,
-                    int Channel, float *RowRegs, float *Out,
-                    int OutStride = 1);
-
 /// Span-mode interior evaluation of a staged program: the span [X0, X1)
 /// is chunked into lanes of at most VmLaneWidth pixels; within a chunk
 /// every stage's instruction stream runs instruction-major, and StageCall
@@ -309,10 +241,11 @@ void runStagedVmRow(const StagedVmProgram &SP, uint16_t RootStage,
 /// chunk straight into the caller's destination lanes). Stage frames
 /// partition the lane buffer at VmStage::RegBase * VmLaneWidth, so a
 /// chunk never overruns a frame and the whole working set is
-/// SP.NumRegs * VmLaneWidth floats -- the locality the full-row frames of
-/// runStagedVmRow lose on wide images. \p LaneRegs must hold
-/// SP.NumRegs * VmLaneWidth floats. Bit-identical to runStagedVmRow and
-/// to per-pixel runStagedVmInterior.
+/// SP.NumRegs * VmLaneWidth floats, L1-resident independent of the image
+/// width. Interior-only: valid when row \p Y and the span lie at least
+/// SP.Reach[RootStage] away from every border (and SP.UniformExtents
+/// holds). \p LaneRegs must hold SP.NumRegs * VmLaneWidth floats.
+/// Bit-identical to per-pixel runStagedVm.
 void runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                      const std::vector<Image> &Pool, int Y, int X0, int X1,
                      int Channel, float *LaneRegs, float *Out,
@@ -375,25 +308,17 @@ struct OverlapTileStats {
 /// \p PlaneScratch (at least overlapPlaneFloats(Schedule, X1-X0, Y1-Y0)
 /// floats), stage calls read the callee's plane, and the root writes
 /// straight into \p OutBase (the destination image base, width
-/// \p OutWidth, \p Channels channels). \p Regs is the per-worker
-/// register scratch: SP.NumRegs * VmLaneWidth floats in span mode,
-/// SP.NumRegs floats in scalar mode (\p Mode must be resolved, never
-/// Auto). The tile must lie at least SP.Reach[Root] away from every
-/// border (the interior region); every value is computed by the same
-/// instruction stream as the interior/halo strategy, so results are
-/// bit-identical.
+/// \p OutWidth, \p Channels channels). \p LaneRegs is the per-worker
+/// span register scratch of SP.NumRegs * VmLaneWidth floats. The tile
+/// must lie at least SP.Reach[Root] away from every border (the interior
+/// region); every value is computed by the same instruction stream as
+/// the interior/halo strategy, so results are bit-identical.
 void runOverlappedTile(const StagedVmProgram &SP, uint16_t Root,
                        const OverlapSchedule &Schedule,
                        const std::vector<Image> &Pool, int X0, int X1,
-                       int Y0, int Y1, int Channels, VmMode Mode,
-                       float *PlaneScratch, float *Regs, float *OutBase,
-                       int OutWidth, OverlapTileStats *Stats = nullptr);
-
-/// Executes every kernel of \p P unfused through the VM, filling the
-/// pool's non-input images -- the fast-path equivalent of runUnfused.
-/// Serial; the parallel tiled driver lives in sim/Executor
-/// (runUnfusedVm with ExecutionOptions).
-void runUnfusedVm(const Program &P, std::vector<Image> &Pool);
+                       int Y0, int Y1, int Channels, float *PlaneScratch,
+                       float *LaneRegs, float *OutBase, int OutWidth,
+                       OverlapTileStats *Stats = nullptr);
 
 } // namespace kf
 

@@ -427,17 +427,6 @@ void runTiledImage(ThreadPool &TP, const ExecutionOptions &Options,
   }
 }
 
-/// Lane-scratch floats one worker needs for interior execution of a
-/// program with \p NumRegs registers. Span and Jit both run out of the
-/// SoA lane buffer (the JIT chains address it by absolute float offset);
-/// scalar mode dispatches per pixel out of the pixel scratch and needs
-/// none.
-size_t laneScratchFloats(VmMode Mode, unsigned NumRegs) {
-  return Mode != VmMode::Scalar
-             ? static_cast<size_t>(NumRegs) * VmLaneWidth
-             : 0;
-}
-
 /// Runs one fused launch under the overlapped tiling strategy. The tile
 /// loop covers the whole image; within each tile the border ring (rows
 /// and columns outside the interior rectangle) takes the per-pixel
@@ -451,9 +440,8 @@ template <class PixelFn>
 void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
                         Image &Out, int Halo, const StagedVmProgram &SP,
                         uint16_t Root, const OverlapSchedule &Schedule,
-                        const std::vector<Image> &Pool, VmMode Mode,
-                        VmScratch &Scratch, PixelFn &&Pixel,
-                        LaunchTiming *Timing) {
+                        const std::vector<Image> &Pool, VmScratch &Scratch,
+                        PixelFn &&Pixel, LaunchTiming *Timing) {
   const int W = Out.width(), H = Out.height(), C = Out.channels();
   const int X0 = std::min(Halo, W), Y0 = std::min(Halo, H);
   const int X1 = std::max(X0, W - Halo), Y1 = std::max(Y0, H - Halo);
@@ -463,7 +451,6 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
   resolveTileSize(Options, TilingStrategy::Overlapped, W, H,
                   TP.numThreads(), TileW, TileH);
   Scratch.ensure(TP.numThreads(), SP.NumRegs,
-                 laneScratchFloats(Mode, SP.NumRegs),
                  overlapPlaneFloats(Schedule, TileW, TileH));
 
   auto haloSpan = [&](int Y, int XA, int XB, unsigned Worker) {
@@ -487,12 +474,9 @@ void runOverlappedImage(ThreadPool &TP, const ExecutionOptions &Options,
   };
   auto interiorPart = [&](int IA, int IB, int JA, int JB, unsigned Worker,
                           OverlapTileStats *Stats) {
-    float *Regs = Mode == VmMode::Span
-                      ? Scratch.LaneRegs[Worker].data()
-                      : Scratch.PixelRegs[Worker].data();
-    runOverlappedTile(SP, Root, Schedule, Pool, IA, IB, JA, JB, C, Mode,
-                      Scratch.PlaneRegs[Worker].data(), Regs, OutBase, W,
-                      Stats);
+    runOverlappedTile(SP, Root, Schedule, Pool, IA, IB, JA, JB, C,
+                      Scratch.PlaneRegs[Worker].data(),
+                      Scratch.LaneRegs[Worker].data(), OutBase, W, Stats);
   };
 
   if (!Timing) {
@@ -590,69 +574,6 @@ void kf::runUnfused(const Program &P, std::vector<Image> &Pool,
   }
 }
 
-void kf::runUnfusedVm(const Program &P, std::vector<Image> &Pool,
-                      const ExecutionOptions &Options) {
-  assert(Pool.size() == P.numImages() && "pool size mismatch");
-  checkExternalInputs(P, Pool);
-
-  std::optional<std::vector<Digraph::NodeId>> Order =
-      P.buildKernelDag().topologicalOrder();
-  assert(Order && "kernel DAG has a cycle");
-  ThreadPool TP(resolveThreadCount(Options.Threads));
-  VmMode Mode = resolveVmMode(Options.Mode);
-  // The JIT backend covers fused launches (staged programs) only; plain
-  // per-kernel launches take the bit-identical span interpreter.
-  if (Mode == VmMode::Jit)
-    Mode = VmMode::Span;
-
-  std::vector<std::vector<float>> Regs(TP.numThreads());
-  std::vector<std::vector<float>> LaneRegs(TP.numThreads());
-  for (KernelId Id : *Order) {
-    const Kernel &K = P.kernel(Id);
-    const ImageInfo &Info = P.image(K.Output);
-    std::string Label = "launch " + K.Name;
-    TraceSpan Span(Label.c_str(), "sim");
-    VmProgram VM = compileKernelBody(P, Id);
-    Image Out(Info.Width, Info.Height, Info.Channels);
-
-    // Interior/halo decomposition; inputs of a different extent make the
-    // whole image halo (bordered reads everywhere).
-    int Halo = vmHalo(VM);
-    for (ImageId In : K.Inputs) {
-      const ImageInfo &InInfo = P.image(In);
-      if (InInfo.Width != Info.Width || InInfo.Height != Info.Height)
-        Halo = std::max(Info.Width, Info.Height);
-    }
-
-    size_t LaneScratch = laneScratchFloats(Mode, VM.NumRegs);
-    for (unsigned I = 0; I != TP.numThreads(); ++I) {
-      Regs[I].resize(std::max<size_t>(Regs[I].size(), VM.NumRegs));
-      LaneRegs[I].resize(std::max(LaneRegs[I].size(), LaneScratch));
-    }
-
-    runTiledImage(
-        TP, Options, Out, Halo,
-        [&](int Y, int XA, int XB, int Ch, float *OutPtr, int Stride,
-            unsigned Worker) {
-          if (Mode == VmMode::Span) {
-            runVmSpan(VM, P, Id, Pool, Y, XA, XB, Ch,
-                      LaneRegs[Worker].data(), OutPtr, Stride);
-            return;
-          }
-          // Scalar interior: per-pixel dispatch, output pointer walked
-          // across the span instead of re-derived per pixel.
-          float *Px = OutPtr;
-          for (int X = XA; X < XB; ++X, Px += Stride)
-            *Px = runVmInterior(VM, P, Id, Pool, X, Y, Ch,
-                                Regs[Worker].data());
-        },
-        [&](int X, int Y, int Ch, unsigned Worker) {
-          return runVm(VM, P, Id, Pool, X, Y, Ch, Regs[Worker].data());
-        });
-    Pool[K.Output] = std::move(Out);
-  }
-}
-
 void kf::runFused(const FusedProgram &FP, std::vector<Image> &Pool,
                   const ExecutionOptions &Options) {
   const Program &P = *FP.Source;
@@ -692,8 +613,10 @@ StagedVmProgram kf::compileFusedKernel(const FusedProgram &FP,
   return compileStagedProgram(P, StageKernels, IsEliminated);
 }
 
-void VmScratch::ensure(unsigned Threads, size_t PixelFloats,
-                       size_t LaneFloats, size_t PlaneFloats) {
+void VmScratch::ensure(unsigned Threads, unsigned NumRegs,
+                       size_t PlaneFloats) {
+  const size_t PixelFloats = NumRegs;
+  const size_t LaneFloats = static_cast<size_t>(NumRegs) * VmLaneWidth;
   if (PixelRegs.size() < Threads)
     PixelRegs.resize(Threads);
   if (LaneRegs.size() < Threads)
@@ -773,10 +696,9 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
 
   if (Strategy == TilingStrategy::Overlapped) {
     runOverlappedImage(TP, Options, Out, Halo, SP, Root, Schedule, Pool,
-                       Mode, Scratch, HaloPixel, Timing);
+                       Scratch, HaloPixel, Timing);
   } else {
-    Scratch.ensure(TP.numThreads(), SP.NumRegs,
-                   laneScratchFloats(Mode, SP.NumRegs));
+    Scratch.ensure(TP.numThreads(), SP.NumRegs);
     runTiledImage(
         TP, Options, Out, Halo,
         [&](int Y, int XA, int XB, int Ch, float *OutPtr, int Stride,
@@ -786,18 +708,8 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
                        Scratch.LaneRegs[Worker].data(), OutPtr, Stride);
             return;
           }
-          if (Mode == VmMode::Span) {
-            runStagedVmSpan(SP, Root, Pool, Y, XA, XB, Ch,
-                            Scratch.LaneRegs[Worker].data(), OutPtr,
-                            Stride);
-            return;
-          }
-          // Scalar interior: per-pixel dispatch, output pointer walked
-          // across the span instead of re-derived per pixel.
-          float *Regs = Scratch.PixelRegs[Worker].data();
-          float *Px = OutPtr;
-          for (int X = XA; X < XB; ++X, Px += Stride)
-            *Px = runStagedVmInterior(SP, Root, Pool, X, Y, Ch, Regs);
+          runStagedVmSpan(SP, Root, Pool, Y, XA, XB, Ch,
+                          Scratch.LaneRegs[Worker].data(), OutPtr, Stride);
         },
         HaloPixel, Timing);
   }
@@ -809,9 +721,8 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
     Timing->Tiling = Strategy;
     TraceRecorder &TR = TraceRecorder::global();
     const double InteriorDelta = Timing->InteriorMs - InteriorBefore;
-    TR.addCounter(Mode == VmMode::Jit    ? "vm.interior_jit_ms"
-                  : Mode == VmMode::Span ? "vm.interior_span_ms"
-                                         : "vm.interior_scalar_ms",
+    TR.addCounter(Mode == VmMode::Jit ? "vm.interior_jit_ms"
+                                      : "vm.interior_span_ms",
                   InteriorDelta);
     TR.addCounter("vm.halo_ms", Timing->HaloMs - HaloBefore);
     if (Strategy == TilingStrategy::Overlapped) {
@@ -882,6 +793,7 @@ void kf::runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
         Span.arg("interior_ms", Timing.InteriorMs);
         Span.arg("halo_ms", Timing.HaloMs);
         Span.arg("vm_span", Timing.Mode == VmMode::Span ? 1.0 : 0.0);
+        Span.arg("vm_jit", Timing.Mode == VmMode::Jit ? 1.0 : 0.0);
         Span.arg("tiling_overlapped",
                  Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
         Span.arg("overlap_pixels",

@@ -12,10 +12,11 @@
 ///   - the AST walker (runUnfused / runFused): virtual dispatch per
 ///     expression node, recursive producer re-evaluation -- the semantic
 ///     reference;
-///   - the bytecode VM (runUnfusedVm / runFusedVm): kernels compile once
-///     to flat instruction streams (fused kernels to staged programs with
-///     stage-call ops, see ir/ExprVM.h), evaluated row-wise over the
-///     interior and per-pixel over the halo.
+///   - the staged bytecode VM (runFusedVm, runCompiledLaunch): every
+///     launch compiles once to a staged program with stage-call ops (see
+///     ir/ExprVM.h; an unfused program, unfusedProgram(P), is a sequence
+///     of single-stage launches). The interior runs the span interpreter
+///     or its JIT, the halo the bordered per-pixel evaluator.
 /// Both engines execute over a tile decomposition driven by a thread pool
 /// (support/ThreadPool.h). Every pixel is a pure function of the inputs,
 /// so results are bit-identical at any thread count; the test suite
@@ -56,13 +57,12 @@ struct ExecutionOptions {
   int TileWidth = 0;
   int TileHeight = 0;
 
-  /// Interior execution mode of the VM engines. Auto resolves via the
-  /// KF_VM environment variable ("scalar", "span" or "jit"); when it is
-  /// unset, Auto prefers a per-plan JIT artifact if the launch carries
-  /// one and falls back to the lane-batched span mode (see resolveVmMode
-  /// in ir/ExprVM.h). Scalar is the per-pixel escape hatch and the A/B
-  /// baseline. All modes are bit-identical on every pipeline and border
-  /// mode.
+  /// Interior execution mode of the staged VM. Auto resolves via the
+  /// KF_VM environment variable ("span" or "jit"); when it is unset, Auto
+  /// prefers a per-plan JIT artifact if the launch carries one and falls
+  /// back to the lane-batched span mode (see resolveVmMode in
+  /// ir/ExprVM.h). Both modes are bit-identical on every pipeline and
+  /// border mode.
   VmMode Mode = VmMode::Auto;
 
   /// Tiling strategy of the fused VM engine. Auto resolves via the
@@ -120,12 +120,6 @@ std::vector<Image> makeImagePool(const Program &P);
 void runUnfused(const Program &P, std::vector<Image> &Pool,
                 const ExecutionOptions &Options = ExecutionOptions());
 
-/// Executes every kernel of \p P unfused through the bytecode VM with
-/// the interior/halo split and row-wise evaluation, tiled across
-/// Options.Threads. Bit-identical to runUnfused.
-void runUnfusedVm(const Program &P, std::vector<Image> &Pool,
-                  const ExecutionOptions &Options);
-
 /// Executes \p FP, writing only the fused kernels' destination outputs;
 /// eliminated intermediates stay empty (that is the point of fusion).
 /// AST engine: eliminated producers are re-evaluated recursively per
@@ -143,7 +137,9 @@ StagedVmProgram compileFusedKernel(const FusedProgram &FP,
 /// Executes \p FP through the staged bytecode VM: interior tiles run the
 /// border-check-free fast path, halo tiles the index-exchange-correct
 /// slow path. Bit-identical to runFused at any thread count -- the fast
-/// path the benchmarks use for large images.
+/// path the benchmarks use for large images. runFusedVm(unfusedProgram(P))
+/// is the VM counterpart of runUnfused: one single-stage launch per
+/// kernel.
 void runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
                 const ExecutionOptions &Options = ExecutionOptions());
 
@@ -152,7 +148,8 @@ void runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
 /// keeps one per session so the streaming hot path performs no per-frame
 /// scratch allocation.
 struct VmScratch {
-  std::vector<std::vector<float>> PixelRegs; ///< NumRegs floats per worker.
+  /// Halo per-pixel registers: NumRegs floats per worker (runStagedVm).
+  std::vector<std::vector<float>> PixelRegs;
   /// Span-mode lane buffers: NumRegs * VmLaneWidth floats per worker
   /// (structure-of-arrays register frames, see runStagedVmSpan).
   std::vector<std::vector<float>> LaneRegs;
@@ -161,9 +158,9 @@ struct VmScratch {
   /// empty under the interior/halo strategy.
   std::vector<std::vector<float>> PlaneRegs;
 
-  /// Grows the per-worker vectors to at least the given float counts.
-  void ensure(unsigned Threads, size_t PixelFloats, size_t LaneFloats,
-              size_t PlaneFloats = 0);
+  /// Grows the per-worker vectors to hold a program of \p NumRegs
+  /// registers (pixel and lane frames) and \p PlaneFloats plane floats.
+  void ensure(unsigned Threads, unsigned NumRegs, size_t PlaneFloats = 0);
 };
 
 /// The interior/halo split parameter of one fused launch: how far from the
@@ -183,7 +180,7 @@ struct LaunchTiming {
   double InteriorMs = 0.0;
   double HaloMs = 0.0;
   /// The resolved interior mode the launch actually ran (never Auto), so
-  /// the trace/metrics layers can split interior time scalar vs span.
+  /// the trace/metrics layers can split interior time span vs jit.
   VmMode Mode = VmMode::Span;
   /// The resolved tiling strategy the launch actually ran (never Auto or
   /// Tuned: a schedule-less launch falls back to InteriorHalo).

@@ -69,12 +69,12 @@ void MetricsRegistry::recordLaunch(const std::string &Program,
   Record.MeasuredMs += MeasuredMs;
   Record.InteriorMs += InteriorMs;
   Record.HaloMs += HaloMs;
-  if (resolveVmMode(Mode) == VmMode::Span) {
+  if (resolveVmMode(Mode) == VmMode::Jit) {
+    ++Record.JitRuns;
+    Record.JitInteriorMs += InteriorMs;
+  } else {
     ++Record.SpanRuns;
     Record.SpanInteriorMs += InteriorMs;
-  } else {
-    ++Record.ScalarRuns;
-    Record.ScalarInteriorMs += InteriorMs;
   }
   if (Tiling == TilingStrategy::Overlapped) {
     ++Record.OverlappedRuns;
@@ -169,14 +169,14 @@ std::string MetricsRegistry::renderTable() const {
     for (const LaunchModelRecord &Record : Snapshot) {
       double Runs = Record.Runs ? static_cast<double>(Record.Runs) : 1.0;
       // The vm column names the interior engine; a launch measured in both
-      // modes shows the span-over-scalar interior speedup instead.
+      // modes shows the jit-over-span interior speedup instead.
       std::string Vm = "-";
-      if (Record.spanOverScalar() > 0.0)
-        Vm = formatDouble(Record.spanOverScalar(), 2) + "x";
+      if (Record.jitOverSpan() > 0.0)
+        Vm = formatDouble(Record.jitOverSpan(), 2) + "x";
+      else if (Record.JitRuns)
+        Vm = "jit";
       else if (Record.SpanRuns)
         Vm = "span";
-      else if (Record.ScalarRuns)
-        Vm = "scalar";
       // Likewise the tiling column: strategy name, or the overlapped
       // speedup when the launch was A/B-measured under both strategies.
       std::string Tiling = "-";
@@ -269,13 +269,13 @@ std::string MetricsRegistry::toJson(const std::string &Indent) const {
     Out += "\"interior_ms\": " + formatDouble(Record.InteriorMs, 6) + ", ";
     Out += "\"halo_ms\": " + formatDouble(Record.HaloMs, 6) + ", ";
     Out += "\"span_runs\": " + std::to_string(Record.SpanRuns) + ", ";
-    Out += "\"scalar_runs\": " + std::to_string(Record.ScalarRuns) + ", ";
+    Out += "\"jit_runs\": " + std::to_string(Record.JitRuns) + ", ";
     Out += "\"interior_span_ms\": " +
            formatDouble(Record.SpanInteriorMs, 6) + ", ";
-    Out += "\"interior_scalar_ms\": " +
-           formatDouble(Record.ScalarInteriorMs, 6) + ", ";
-    Out += "\"span_over_scalar\": " +
-           formatDouble(Record.spanOverScalar(), 6) + ", ";
+    Out += "\"interior_jit_ms\": " +
+           formatDouble(Record.JitInteriorMs, 6) + ", ";
+    Out += "\"jit_over_span\": " + formatDouble(Record.jitOverSpan(), 6) +
+           ", ";
     Out += "\"overlapped_runs\": " + std::to_string(Record.OverlappedRuns) +
            ", ";
     Out += "\"interior_tiling_runs\": " +

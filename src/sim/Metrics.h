@@ -56,13 +56,13 @@ struct LaunchModelRecord {
   double HaloMs = 0.0;       ///< Halo-pixel share of MeasuredMs.
 
   /// Per-VM-mode interior accounting: runs executed (and interior time
-  /// spent) under the span vs the scalar interior engine, so one record
-  /// can report the scalar/span interior ratio when a launch was measured
+  /// spent) under the span interpreter vs the JIT, so one record can
+  /// report the jit-over-span interior speedup when a launch was measured
   /// in both modes (the A/B benches do exactly that).
   uint64_t SpanRuns = 0;
-  uint64_t ScalarRuns = 0;
+  uint64_t JitRuns = 0;
   double SpanInteriorMs = 0.0;
-  double ScalarInteriorMs = 0.0;
+  double JitInteriorMs = 0.0;
 
   /// Per-tiling-strategy accounting, same shape as the per-mode split:
   /// runs (and total measured time) under the overlapped vs the
@@ -79,12 +79,12 @@ struct LaunchModelRecord {
     double Mean = measuredMeanMs();
     return Mean > 0.0 && PredictedMs > 0.0 ? PredictedMs / Mean : 0.0;
   }
-  /// Mean scalar-interior time over mean span-interior time -- the span
-  /// engine's interior speedup; 0 unless both modes were measured.
-  double spanOverScalar() const {
-    if (!SpanRuns || !ScalarRuns || SpanInteriorMs <= 0.0)
+  /// Mean span-interior time over mean jit-interior time -- the JIT's
+  /// interior speedup; 0 unless both modes were measured.
+  double jitOverSpan() const {
+    if (!SpanRuns || !JitRuns || JitInteriorMs <= 0.0)
       return 0.0;
-    return (ScalarInteriorMs / ScalarRuns) / (SpanInteriorMs / SpanRuns);
+    return (SpanInteriorMs / SpanRuns) / (JitInteriorMs / JitRuns);
   }
   /// Mean interior/halo-strategy time over mean overlapped-strategy time
   /// -- the overlapped strategy's speedup (> 1 means overlapped tiling

@@ -472,6 +472,7 @@ void PipelineSession::runFrame(std::vector<Image> &Frame) {
       Span.arg("interior_ms", Timing.InteriorMs);
       Span.arg("halo_ms", Timing.HaloMs);
       Span.arg("vm_span", Timing.Mode == VmMode::Span ? 1.0 : 0.0);
+      Span.arg("vm_jit", Timing.Mode == VmMode::Jit ? 1.0 : 0.0);
       Span.arg("tiling_overlapped",
                Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
       Span.arg("overlap_pixels",

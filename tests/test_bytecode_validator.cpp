@@ -244,9 +244,9 @@ TEST(BytecodeValidator, PlainKernelBodiesPass) {
   for (const PipelineSpec &Spec : paperPipelines()) {
     Program P = Spec.Builder(64, 48);
     for (KernelId Id = 0; Id != P.numKernels(); ++Id) {
-      VmProgram VM = compileKernelBody(P, Id);
+      StagedVmProgram SP = compileStagedProgram(P, {Id}, {false});
       DiagnosticEngine DE;
-      validateVmProgram(VM, P.kernel(Id).Inputs.size(), DE);
+      validateVmProgram(SP.Stages[0].Code, P.kernel(Id).Inputs.size(), DE);
       EXPECT_TRUE(DE.empty()) << Spec.Name << " " << P.kernel(Id).Name
                               << ":\n"
                               << DE.renderText();

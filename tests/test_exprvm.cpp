@@ -1,10 +1,18 @@
 //===- tests/test_exprvm.cpp - Bytecode VM vs tree-walking interpreter ----------===//
+//
+// Kernel-body compilation and evaluation: a single kernel compiles to a
+// single-stage staged program (compileStagedProgram with no eliminated
+// inputs), and unfused programs run as one such launch per kernel
+// (runFusedVm over unfusedProgram(P)); both must match the AST walker.
+//
+//===----------------------------------------------------------------------===//
 
 #include "image/Compare.h"
 #include "image/Generators.h"
 #include "ir/ExprVM.h"
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
+#include "transform/Fuser.h"
 
 #include <gtest/gtest.h>
 
@@ -12,9 +20,15 @@ using namespace kf;
 
 namespace {
 
+/// Kernel \p Id of \p P alone: a single-stage staged program.
+StagedVmProgram compileKernelStage(const Program &P, KernelId Id) {
+  return compileStagedProgram(P, {Id}, {false});
+}
+
 TEST(ExprVm, CompilesConvolutionToUnrolledStream) {
   Program P = makeBlurChain(16, 16, BorderMode::Clamp);
-  VmProgram VM = compileKernelBody(P, 0);
+  StagedVmProgram SP = compileKernelStage(P, 0);
+  const VmProgram &VM = SP.Stages[0].Code;
   // 9 mask constants + 9 loads + 9 muls + 8 reduce adds = 35.
   EXPECT_EQ(VM.Insts.size(), 35u);
   EXPECT_GT(VM.NumRegs, 0u);
@@ -27,10 +41,10 @@ TEST(ExprVm, CompilesConvolutionToUnrolledStream) {
 
 TEST(ExprVm, BakesMaskWeightsAsImmediates) {
   Program P = makeBlurChain(16, 16, BorderMode::Clamp);
-  VmProgram VM = compileKernelBody(P, 0);
+  StagedVmProgram SP = compileKernelStage(P, 0);
   // The binomial center weight 0.25 must appear as a Const immediate.
   bool SawCenterWeight = false;
-  for (const VmInst &Inst : VM.Insts)
+  for (const VmInst &Inst : SP.Stages[0].Code.Insts)
     if (Inst.Op == VmOp::Const && Inst.Imm == 0.25f)
       SawCenterWeight = true;
   EXPECT_TRUE(SawCenterWeight);
@@ -41,11 +55,11 @@ TEST(ExprVm, MatchesInterpreterAtSinglePixels) {
   std::vector<Image> Pool = makeImagePool(P);
   Rng Gen(4);
   Pool[0] = makeRandomImage(12, 12, 1, Gen);
-  VmProgram VM = compileKernelBody(P, 0);
-  std::vector<float> Regs(VM.NumRegs);
+  StagedVmProgram SP = compileKernelStage(P, 0);
+  std::vector<float> Regs(SP.NumRegs);
   for (int X : {0, 1, 6, 11})
     for (int Y : {0, 5, 11})
-      EXPECT_FLOAT_EQ(runVm(VM, P, 0, Pool, X, Y, 0, Regs.data()),
+      EXPECT_FLOAT_EQ(runStagedVm(SP, 0, Pool, X, Y, 0, Regs.data()),
                       evalKernelAt(P, 0, Pool, X, Y, 0))
           << X << "," << Y;
 }
@@ -69,7 +83,7 @@ TEST_P(VmEquivalence, RunUnfusedVmMatchesInterpreter) {
 
   std::vector<Image> VmPool = makeImagePool(P);
   VmPool[0] = Input;
-  runUnfusedVm(P, VmPool);
+  runFusedVm(unfusedProgram(P), VmPool);
 
   for (ImageId Id = 0; Id != P.numImages(); ++Id) {
     if (Reference[Id].empty())
@@ -95,7 +109,7 @@ TEST(ExprVm, BorderModesMatchInterpreter) {
     runUnfused(P, Reference);
     std::vector<Image> VmPool = makeImagePool(P);
     VmPool[0] = Reference[0];
-    runUnfusedVm(P, VmPool);
+    runFusedVm(unfusedProgram(P), VmPool);
     EXPECT_DOUBLE_EQ(maxAbsDifference(VmPool[2], Reference[2]), 0.0)
         << borderModeName(Mode);
   }
@@ -119,11 +133,11 @@ TEST(ExprVm, CoordinatesAndSelect) {
   std::vector<Image> Pool = makeImagePool(P);
   Rng Gen(5);
   Pool[0] = makeRandomImage(8, 8, 1, Gen, 0.5f, 1.0f);
-  VmProgram VM = compileKernelBody(P, 0);
-  std::vector<float> Regs(VM.NumRegs);
-  EXPECT_FLOAT_EQ(runVm(VM, P, 0, Pool, 2, 5, 0, Regs.data()),
+  StagedVmProgram SP = compileKernelStage(P, 0);
+  std::vector<float> Regs(SP.NumRegs);
+  EXPECT_FLOAT_EQ(runStagedVm(SP, 0, Pool, 2, 5, 0, Regs.data()),
                   Pool[0].at(2, 5));
-  EXPECT_FLOAT_EQ(runVm(VM, P, 0, Pool, 5, 2, 0, Regs.data()),
+  EXPECT_FLOAT_EQ(runStagedVm(SP, 0, Pool, 5, 2, 0, Regs.data()),
                   -Pool[0].at(5, 2));
 }
 

@@ -9,6 +9,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineMatrix.h"
+
 #include "fusion/MinCutPartitioner.h"
 #include "image/Compare.h"
 #include "image/Generators.h"
@@ -19,22 +21,10 @@
 
 #include <gtest/gtest.h>
 
-#include <thread>
-
 using namespace kf;
+using namespace kf::test;
 
 namespace {
-
-/// Fuses the whole program into one block (forces local-to-local fusion
-/// regardless of the benefit model).
-Partition wholeProgramPartition(const Program &P) {
-  Partition S;
-  PartitionBlock Block;
-  for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-    Block.Kernels.push_back(Id);
-  S.Blocks.push_back(std::move(Block));
-  return S;
-}
 
 /// Builds a pipeline at test size with a deterministic random input.
 struct TestApp {
@@ -52,21 +42,6 @@ TestApp makeTestApp(const std::string &Name) {
   App.Input =
       makeRandomImage(InInfo.Width, InInfo.Height, InInfo.Channels, Gen);
   return App;
-}
-
-/// Every image the fused run writes must match the reference pool
-/// bit-for-bit.
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
-        << Tag << " image " << P.image(Id).Name;
-  }
 }
 
 /// Staged-VM equivalence across the bundled applications, fused with the
@@ -89,6 +64,8 @@ TEST_P(FusedVmEquivalence, MatchesAstReferenceOnMinCutPartition) {
   expectPoolsIdentical(App.P, VmPool, Reference, GetParam());
 }
 
+/// The unfused VM driver: unfusedProgram(P) through runFusedVm, one
+/// single-stage launch per kernel.
 TEST_P(FusedVmEquivalence, UnfusedVmDriverMatchesAstReference) {
   TestApp App = makeTestApp(GetParam());
 
@@ -100,7 +77,7 @@ TEST_P(FusedVmEquivalence, UnfusedVmDriverMatchesAstReference) {
   Options.Threads = 2;
   std::vector<Image> VmPool = makeImagePool(App.P);
   VmPool[0] = App.Input;
-  runUnfusedVm(App.P, VmPool, Options);
+  runFusedVm(unfusedProgram(App.P), VmPool, Options);
 
   expectPoolsIdentical(App.P, VmPool, Reference, GetParam());
 }
@@ -202,6 +179,8 @@ TEST(FusedVm, CompiledKernelExposesStagesAndReach) {
   EXPECT_EQ(Calls, 9u);
 }
 
+/// Span evaluation of a whole interior row matches the per-pixel
+/// bordered evaluator.
 TEST(FusedVm, RowEvaluationMatchesPerPixel) {
   Program P = makeBlurChain(24, 12, BorderMode::Mirror);
   FusedProgram FP =
@@ -215,10 +194,12 @@ TEST(FusedVm, RowEvaluationMatchesPerPixel) {
 
   int Halo = SP.Reach[Root];
   int X0 = Halo, X1 = 24 - Halo, Y = 5;
-  std::vector<float> RowRegs(static_cast<size_t>(SP.NumRegs) * (X1 - X0));
+  std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) *
+                              VmLaneWidth);
   std::vector<float> PixelRegs(SP.NumRegs);
   std::vector<float> Row(X1 - X0);
-  runStagedVmRow(SP, Root, Pool, Y, X0, X1, 0, RowRegs.data(), Row.data());
+  runStagedVmSpan(SP, Root, Pool, Y, X0, X1, 0, LaneRegs.data(),
+                  Row.data());
   for (int X = X0; X != X1; ++X)
     EXPECT_FLOAT_EQ(Row[X - X0],
                     runStagedVm(SP, Root, Pool, X, Y, 0, PixelRegs.data()))
@@ -233,8 +214,8 @@ TEST(FusedVm, ThreadCountInvariance) {
   Partition Blocks = runMinCutFusion(App.P, HardwareModel()).Blocks;
   FusedProgram FP = fuseProgram(App.P, Blocks, FusionStyle::Optimized);
 
-  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
-  std::vector<int> Counts{1, 3, static_cast<int>(Hardware)};
+  FusedProgram Unfused = unfusedProgram(App.P);
+  std::vector<int> Counts = threadSweep();
 
   std::vector<std::vector<Image>> FusedRuns, UnfusedVmRuns, UnfusedRuns;
   for (int Threads : Counts) {
@@ -249,7 +230,7 @@ TEST(FusedVm, ThreadCountInvariance) {
 
     std::vector<Image> B = makeImagePool(App.P);
     B[0] = App.Input;
-    runUnfusedVm(App.P, B, Options);
+    runFusedVm(Unfused, B, Options);
     UnfusedVmRuns.push_back(std::move(B));
 
     std::vector<Image> C = makeImagePool(App.P);
@@ -263,7 +244,7 @@ TEST(FusedVm, ThreadCountInvariance) {
     expectPoolsIdentical(App.P, FusedRuns[I], FusedRuns[0],
                          "runFusedVm " + Tag);
     expectPoolsIdentical(App.P, UnfusedVmRuns[I], UnfusedVmRuns[0],
-                         "runUnfusedVm " + Tag);
+                         "unfused runFusedVm " + Tag);
     expectPoolsIdentical(App.P, UnfusedRuns[I], UnfusedRuns[0],
                          "runUnfused " + Tag);
   }

@@ -12,6 +12,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineMatrix.h"
+
 #include "analysis/IntervalAnalysis.h"
 #include "fusion/MinCutPartitioner.h"
 #include "image/Generators.h"
@@ -421,6 +423,30 @@ TEST(IntervalSoundness, RegistryPipelines) {
     FusedProgram FP = fuseProgram(P, Result.Blocks, FusionStyle::Optimized);
     SCOPED_TRACE(Spec.Name);
     checkFactSoundness(FP, 0xC0FFEE ^ std::hash<std::string>()(Spec.Name));
+  }
+}
+
+/// Constant-border consumers of eliminated producers: the bordered path
+/// answers an exterior stage call with the consumer's border constant,
+/// never evaluating the producer, so the call's fact must cover the
+/// constant. A constant outside the [0, 1] input contract (and outside
+/// the producer's range) exposes a fact that only joins the callee.
+TEST(IntervalSoundness, ConstantBorderStageCallsOutsideUnitRange) {
+  // A fused blur chain and a point producer feeding a 3x3 stencil. The
+  // producers keep their own borders (results inside [0, 1]); only the
+  // consuming stages border with the constant 2.0.
+  Program Chain = makeBlurChain(24, 20, BorderMode::Clamp);
+  Program PointToLocal = makePointToLocal(24, 20, 3);
+  for (Program *P : {&Chain, &PointToLocal}) {
+    for (KernelId Id = 1; Id != P->numKernels(); ++Id) {
+      P->kernel(Id).Border = BorderMode::Constant;
+      P->kernel(Id).BorderConstant = 2.0f;
+    }
+    SCOPED_TRACE(P->name());
+    FusedProgram FP = fuseProgram(*P, kf::test::wholeProgramPartition(*P),
+                                  FusionStyle::Optimized);
+    ASSERT_EQ(FP.Kernels.size(), 1u);
+    checkFactSoundness(FP, 0xB0D3);
   }
 }
 

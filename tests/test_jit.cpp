@@ -5,9 +5,9 @@
 // bit-identical to the span interpreter on every bundled pipeline, at
 // every thread count, for every border mode, under both tiling
 // strategies, and across every tail width around the lane boundary. The
-// span mode is itself verified against the scalar mode and the AST
-// walker (test_vmspan.cpp, test_fusedvm.cpp), so jit == span closes the
-// chain back to the semantic reference.
+// span mode is itself verified against the AST walker (test_vmspan.cpp,
+// test_fusedvm.cpp), so jit == span closes the chain back to the
+// semantic reference.
 //
 // Also covers: the plan-time artifact (compilePlan populates
 // CompiledLaunch::Jit and Auto prefers it), KF_VM=jit resolution, and
@@ -15,6 +15,8 @@
 // the systematic sweep lives in test_bytecode_validator.cpp).
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineMatrix.h"
 
 #include "frontend/Parser.h"
 #include "fusion/MinCutPartitioner.h"
@@ -32,23 +34,12 @@
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace kf;
+using namespace kf::test;
 
 namespace {
-
-/// Fuses the whole program into one block (forces fusion regardless of
-/// the benefit model).
-Partition wholeProgramPartition(const Program &P) {
-  Partition S;
-  PartitionBlock Block;
-  for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-    Block.Kernels.push_back(Id);
-  S.Blocks.push_back(std::move(Block));
-  return S;
-}
 
 /// Builds a pipeline at test size with a deterministic random input.
 struct TestApp {
@@ -67,24 +58,6 @@ TestApp makeTestApp(const std::string &Name) {
   App.Input =
       makeRandomImage(InInfo.Width, InInfo.Height, InInfo.Channels, Gen);
   return App;
-}
-
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
-std::vector<int> threadSweep() {
-  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
-  return {1, 3, static_cast<int>(Hardware)};
 }
 
 std::vector<ImageInfo> poolShapes(const Program &P) {
@@ -201,7 +174,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, JitBorder,
                          });
 
 /// Tail handling: spans of width 1, VmLaneWidth - 1, VmLaneWidth and
-/// VmLaneWidth + 1 must each match per-pixel interior evaluation exactly
+/// VmLaneWidth + 1 must each match per-pixel bordered evaluation exactly
 /// -- the widths that exercise both the full and the tail cell chain.
 TEST(JitVm, TailWidthsMatchPerPixel) {
   int W = VmLaneWidth + 16, H = 12;
@@ -233,9 +206,8 @@ TEST(JitVm, TailWidthsMatchPerPixel) {
     std::vector<float> Out(Width);
     runJitSpan(*JP, Pool, Y, X0, X1, 0, LaneRegs.data(), Out.data());
     for (int X = X0; X != X1; ++X)
-      EXPECT_FLOAT_EQ(Out[X - X0], runStagedVmInterior(SP, Root, Pool, X,
-                                                       Y, 0,
-                                                       PixelRegs.data()))
+      EXPECT_FLOAT_EQ(Out[X - X0], runStagedVm(SP, Root, Pool, X, Y, 0,
+                                               PixelRegs.data()))
           << "width=" << Width << " x=" << X;
   }
 }
@@ -323,13 +295,14 @@ TEST(JitVm, ResolveVmModePrefersJitWhenAvailable) {
   // An explicit environment choice overrides artifact availability...
   ::setenv("KF_VM", "span", 1);
   EXPECT_EQ(resolveVmMode(VmMode::Auto, true), VmMode::Span);
+  // ...while the retired "scalar" value is malformed: the default stands.
   ::setenv("KF_VM", "scalar", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Auto, true), VmMode::Scalar);
+  EXPECT_EQ(resolveVmMode(VmMode::Auto, true), VmMode::Jit);
+  EXPECT_EQ(resolveVmMode(VmMode::Auto, false), VmMode::Span);
 
   // ...and an explicit request wins over everything.
   ::setenv("KF_VM", "jit", 1);
   EXPECT_EQ(resolveVmMode(VmMode::Span, true), VmMode::Span);
-  EXPECT_EQ(resolveVmMode(VmMode::Scalar, true), VmMode::Scalar);
 }
 
 TEST(JitVm, ModeName) { EXPECT_STREQ(vmModeName(VmMode::Jit), "jit"); }
@@ -362,6 +335,8 @@ TEST(JitVm, AutoLaunchRunsJitAndOverlappedDegradesToSpan) {
   VmScratch Scratch;
   ExecutionOptions Options;
   Options.Mode = VmMode::Auto;
+  // Pinned: an ambient KF_TILING=overlapped would degrade the Jit launch.
+  Options.Tiling = TilingStrategy::InteriorHalo;
 
   Image SpanOut(W, H, 1);
   {

@@ -2,8 +2,8 @@
 //
 // The lazy frontend must be invisible in the results and strict at the
 // gate: a lazily recorded Harris DAG materializes bit-identically to the
-// registry pipeline across every VM mode, tiling strategy, and thread
-// count; two independently recorded DAGs of the same *shape* share one
+// registry pipeline across every VM mode, tiling strategy, optimizer
+// setting and thread count (the engine matrix of tests/EngineMatrix.h); two independently recorded DAGs of the same *shape* share one
 // plan-cache entry (canonical-naming structural hash); and malformed
 // DAGs -- cycles, dangling handles, bad masks, shape mismatches,
 // unparsable scripts -- are rejected with exact KF-* codes, never a
@@ -11,6 +11,8 @@
 // on one shared cache.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineMatrix.h"
 
 #include "frontend/Lazy.h"
 #include "frontend/LazyScript.h"
@@ -28,22 +30,11 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
 using namespace kf;
+using namespace kf::test;
 
 namespace {
-
-/// Worker-thread counts the differential sweeps: serial, an uneven
-/// count, and whatever the hardware reports.
-std::vector<int> threadSweep() {
-  int Hardware =
-      static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  std::vector<int> Counts{1, 3};
-  if (Hardware != 1 && Hardware != 3)
-    Counts.push_back(Hardware);
-  return Counts;
-}
 
 /// Records the registry Harris pipeline (pipelines/Harris.cpp) through
 /// the lazy handle API, op for op, and returns the corner-response
@@ -146,30 +137,24 @@ TEST_P(LazyDifferential, HarrisBitIdenticalToRegistryPipeline) {
   ASSERT_TRUE(MP.Ok) << MP.Diags.renderText();
 
   const EngineCase &Engine = GetParam();
-  for (int Threads : threadSweep()) {
-    ExecutionOptions Exec;
-    Exec.Mode = Engine.Mode;
-    Exec.Tiling = Engine.Tiling;
-    Exec.Threads = Threads;
+  for (const EngineConfig &Config :
+       engineMatrix(Engine.Mode, Engine.Tiling)) {
+    ExecutionOptions Exec = Config.apply(ExecutionOptions());
     PlanCache Cache;
     LazyRunResult R = runLazy(MP, {{"in", &In}}, Exec, &Cache);
     ASSERT_TRUE(R.Ok) << R.Diags.renderText();
     ASSERT_EQ(R.Outputs.size(), 1u);
     EXPECT_DOUBLE_EQ(maxAbsDifference(R.Outputs.front(), Ref), 0.0)
-        << Engine.Label << ", threads=" << Threads;
+        << Config.label();
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Engines, LazyDifferential,
     ::testing::Values(
-        EngineCase{"scalar_interior", VmMode::Scalar,
-                   TilingStrategy::InteriorHalo},
         EngineCase{"span_interior", VmMode::Span,
                    TilingStrategy::InteriorHalo},
         EngineCase{"jit_interior", VmMode::Jit, TilingStrategy::InteriorHalo},
-        EngineCase{"scalar_overlapped", VmMode::Scalar,
-                   TilingStrategy::Overlapped},
         EngineCase{"span_overlapped", VmMode::Span,
                    TilingStrategy::Overlapped},
         EngineCase{"jit_overlapped", VmMode::Jit,

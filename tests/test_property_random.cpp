@@ -3,10 +3,14 @@
 // Property-based testing over randomly generated pipelines: for arbitrary
 // DAG-shaped programs, Algorithm 1 must produce valid, legal partitions,
 // the fuser must materialize them, and fused execution must equal the
-// unfused baseline exactly -- the core soundness property of the system.
+// unfused baseline exactly -- on the AST oracle and on every staged-VM
+// configuration of tests/EngineMatrix.h -- the core soundness property
+// of the system.
 // All randomness is seeded; failures reproduce deterministically.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineMatrix.h"
 
 #include "frontend/Parser.h"
 #include "frontend/Serializer.h"
@@ -68,6 +72,13 @@ TEST_P(RandomPipelineProperty, MinCutPartitionIsValidLegalAndExact) {
   for (ImageId Out : P.terminalOutputs())
     EXPECT_DOUBLE_EQ(maxAbsDifference(Pool[Out], Reference[Out]), 0.0)
         << "seed " << Seed << ", output " << P.image(Out).Name;
+
+  // Every staged-VM configuration reproduces the AST oracle, fused and
+  // unfused (one single-stage launch per kernel).
+  std::string Tag = "seed " + std::to_string(Seed);
+  kf::test::expectMatrixMatchesOracle(FP, Reference, Pool, Tag + " fused");
+  kf::test::expectMatrixMatchesOracle(unfusedProgram(P), Reference,
+                                      Reference, Tag + " unfused");
 }
 
 TEST_P(RandomPipelineProperty, BasicFusionIsSoundToo) {
@@ -181,7 +192,7 @@ TEST_P(RandomPipelineProperty, OptionsHashGovernsCrossSessionPlanSharing) {
     O.Threads = 1 + static_cast<int>(Gen.nextBelow(4));
     O.TileWidth = static_cast<int>(Gen.nextBelow(3)) * 8;
     O.TileHeight = static_cast<int>(Gen.nextBelow(3)) * 8;
-    O.Mode = Gen.nextBelow(2) ? VmMode::Scalar : VmMode::Span;
+    O.Mode = Gen.nextBelow(2) ? VmMode::Jit : VmMode::Span;
     O.Tiling = Gen.nextBelow(2) ? TilingStrategy::InteriorHalo
                                 : TilingStrategy::Overlapped;
     O.Source = static_cast<unsigned>(Gen.nextBelow(4));

@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineMatrix.h"
+
 #include "fusion/MinCutPartitioner.h"
 #include "image/Compare.h"
 #include "image/Generators.h"
@@ -29,6 +31,7 @@
 #include <thread>
 
 using namespace kf;
+using kf::test::threadSweep;
 
 namespace {
 
@@ -40,16 +43,6 @@ void fillInputs(const Program &P, std::vector<Image> &Pool, uint64_t Seed) {
     Pool[Id] = makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen,
                                0.05f, 1.0f);
   }
-}
-
-/// Worker-thread counts the differential harness sweeps: serial, a small
-/// oversubscribed pool, and the hardware concurrency when distinct.
-std::vector<int> threadSweep() {
-  std::vector<int> Counts = {1, 3};
-  int Hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (Hw > 1 && Hw != 3)
-    Counts.push_back(Hw);
-  return Counts;
 }
 
 /// A registry pipeline lowered to its fused form. The Program is heap
@@ -378,10 +371,9 @@ TEST_P(ServerDifferential, MixedTenantsMatchSerialAcrossThreads) {
 }
 
 INSTANTIATE_TEST_SUITE_P(VmModes, ServerDifferential,
-                         ::testing::Values(VmMode::Scalar, VmMode::Span),
+                         ::testing::Values(VmMode::Span, VmMode::Jit),
                          [](const auto &Info) {
-                           return Info.param == VmMode::Scalar ? "scalar"
-                                                               : "span";
+                           return std::string(vmModeName(Info.param));
                          });
 
 //===--------------------------------------------------------------------===//

@@ -10,6 +10,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineMatrix.h"
+
 #include "frontend/Parser.h"
 #include "frontend/Serializer.h"
 #include "fusion/MinCutPartitioner.h"
@@ -26,6 +28,7 @@
 #include <thread>
 
 using namespace kf;
+using kf::test::threadSweep;
 
 namespace {
 
@@ -37,17 +40,6 @@ void fillInputs(const Program &P, std::vector<Image> &Pool, uint64_t Seed) {
     Pool[Id] = makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen,
                                0.05f, 1.0f);
   }
-}
-
-/// Worker-thread counts the differential harness sweeps: serial, an
-/// uneven count, and whatever the hardware reports.
-std::vector<int> threadSweep() {
-  int Hardware =
-      static_cast<int>(std::max(std::thread::hardware_concurrency(), 1u));
-  std::vector<int> Counts{1, 3};
-  if (Hardware != 1 && Hardware != 3)
-    Counts.push_back(Hardware);
-  return Counts;
 }
 
 /// Runs the full differential check for one program: the session's warm
@@ -354,7 +346,7 @@ TEST(OptionsHash, SensitiveToEveryField) {
   ExecutionOptions D = Base;
   D.TileHeight = 8;
   ExecutionOptions E = Base;
-  E.Mode = VmMode::Scalar;
+  E.Mode = VmMode::Jit;
   ExecutionOptions F = Base;
   F.Tiling = TilingStrategy::Overlapped;
   ExecutionOptions G = Base;

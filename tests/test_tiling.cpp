@@ -2,13 +2,12 @@
 //
 // The overlapped tiling strategy (TilingStrategy::Overlapped: every tile
 // recomputes its own halo into margin-grown scratch planes, no inter-tile
-// synchronization) must be bit-identical to the interior/halo split on
-// every bundled pipeline, at every thread count, for every border mode,
-// under both VM interior modes, and for every tile geometry -- including
-// degenerate ones (tile larger than the image, 1x1 and 1xN images, tiles
-// the reach exceeds). The interior/halo strategy is itself verified
-// against the AST walker in test_fusedvm.cpp, so overlapped == interior
-// closes the chain back to the semantic reference.
+// synchronization) must be bit-identical to the AST oracle -- and so to
+// the interior/halo split -- on every bundled pipeline, at every thread
+// count, for every border mode, under both VM interior engines and
+// optimizer settings (the shared harness of tests/EngineMatrix.h), and
+// for every tile geometry -- including degenerate ones (tile larger than
+// the image, 1x1 and 1xN images, tiles the reach exceeds).
 //
 // Also covers: KF_TILING / KF_TILE environment resolution, the tile-spec
 // parser, the overlap schedule's margin arithmetic, the per-strategy cost
@@ -17,6 +16,8 @@
 // coverage check.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineMatrix.h"
 
 #include "analysis/FootprintCheck.h"
 #include "fusion/MinCutPartitioner.h"
@@ -33,66 +34,30 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 using namespace kf;
+using namespace kf::test;
 
 namespace {
-
-Partition wholeProgramPartition(const Program &P) {
-  Partition S;
-  PartitionBlock Block;
-  for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-    Block.Kernels.push_back(Id);
-  S.Blocks.push_back(std::move(Block));
-  return S;
-}
-
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
-std::vector<int> threadSweep() {
-  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
-  return {1, 3, static_cast<int>(Hardware)};
-}
 
 /// Fills the external inputs of \p P deterministically and runs \p FP
 /// under \p Options, returning the pool.
 std::vector<Image> runWith(const Program &P, const FusedProgram &FP,
                            const ExecutionOptions &Options, uint64_t Seed) {
-  std::vector<bool> Produced(P.numImages());
-  for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-    Produced[P.kernel(Id).Output] = true;
   std::vector<Image> Pool = makeImagePool(P);
-  Rng Gen(Seed);
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    if (!Produced[Id]) {
-      const ImageInfo &Info = P.image(Id);
-      Pool[Id] =
-          makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
-    }
+  fillExternalInputs(P, Pool, Seed);
   runFusedVm(FP, Pool, Options);
   return Pool;
 }
 
 //===--------------------------------------------------------------------===//
-// Differential: overlapped == interior/halo
+// Differential: both strategies == the AST oracle
 //===--------------------------------------------------------------------===//
 
-/// Registry pipelines, min-cut fused, at 1 / 3 / hardware threads, in
-/// both VM interior modes, with a small tile so images decompose into
-/// many overlapped tiles whose margins cross tile boundaries.
+/// Registry pipelines, min-cut fused, across the engine matrix with a
+/// small tile so images decompose into many overlapped tiles whose
+/// margins cross tile boundaries.
 class TilingEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TilingEquivalence, OverlappedMatchesInteriorAcrossThreadsAndModes) {
@@ -101,25 +66,14 @@ TEST_P(TilingEquivalence, OverlappedMatchesInteriorAcrossThreadsAndModes) {
   Program P = Spec->Builder(149, 61);
   Partition Blocks = runMinCutFusion(P, HardwareModel()).Blocks;
   FusedProgram FP = fuseProgram(P, Blocks, FusionStyle::Optimized);
+  std::vector<Image> Inputs = makeImagePool(P);
+  fillExternalInputs(P, Inputs, 977);
 
-  for (int Threads : threadSweep())
-    for (VmMode Mode : {VmMode::Scalar, VmMode::Span}) {
-      ExecutionOptions Interior;
-      Interior.Threads = Threads;
-      Interior.Mode = Mode;
-      Interior.Tiling = TilingStrategy::InteriorHalo;
-      ExecutionOptions Overlapped = Interior;
-      Overlapped.Tiling = TilingStrategy::Overlapped;
-      Overlapped.TileWidth = 32;
-      Overlapped.TileHeight = 8;
-
-      std::vector<Image> Want = runWith(P, FP, Interior, 977);
-      std::vector<Image> Got = runWith(P, FP, Overlapped, 977);
-      expectPoolsIdentical(P, Got, Want,
-                           GetParam() + " threads=" +
-                               std::to_string(Threads) + " vm=" +
-                               vmModeName(Mode));
-    }
+  ExecutionOptions Base;
+  Base.TileWidth = 32;
+  Base.TileHeight = 8;
+  expectMatrixMatchesOracle(FP, Inputs, runOracle(FP, Inputs), GetParam(),
+                            Base);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPipelines, TilingEquivalence,
@@ -138,21 +92,19 @@ TEST_P(TilingBorder, BlurChainOverlappedMatchesInterior) {
   Program P = makeBlurChain(83, 27, GetParam());
   FusedProgram FP =
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+  std::vector<Image> Inputs = makeImagePool(P);
+  fillExternalInputs(P, Inputs, 4242);
 
   for (bool Exchange : {true, false}) {
-    ExecutionOptions Interior;
-    Interior.UseIndexExchange = Exchange;
-    Interior.Tiling = TilingStrategy::InteriorHalo;
-    ExecutionOptions Overlapped = Interior;
-    Overlapped.Tiling = TilingStrategy::Overlapped;
-    Overlapped.TileWidth = 16;
-    Overlapped.TileHeight = 4;
-
-    std::vector<Image> Want = runWith(P, FP, Interior, 4242);
-    std::vector<Image> Got = runWith(P, FP, Overlapped, 4242);
-    expectPoolsIdentical(P, Got, Want,
-                         std::string(borderModeName(GetParam())) +
-                             (Exchange ? " (index exchange)" : " (naive)"));
+    ExecutionOptions Base;
+    Base.UseIndexExchange = Exchange;
+    Base.TileWidth = 16;
+    Base.TileHeight = 4;
+    expectMatrixMatchesOracle(
+        FP, Inputs, runOracle(FP, Inputs, Base),
+        std::string(borderModeName(GetParam())) +
+            (Exchange ? " (index exchange)" : " (naive)"),
+        Base);
   }
 }
 
@@ -171,7 +123,7 @@ INSTANTIATE_TEST_SUITE_P(AllModes, TilingBorder,
 
 /// Degenerate geometries must be handled without out-of-bounds accesses
 /// (this suite runs under ASan/UBSan via the sanitize-smoke label) and
-/// stay bit-identical to the interior/halo strategy.
+/// stay bit-identical to the oracle.
 class TilingGeometry
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>> {};
 
@@ -180,24 +132,17 @@ TEST_P(TilingGeometry, OverlappedMatchesInteriorOnDegenerateShapes) {
   Program P = makeBlurChain(W, H, BorderMode::Mirror);
   FusedProgram FP =
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+  std::vector<Image> Inputs = makeImagePool(P);
+  fillExternalInputs(P, Inputs, 11);
 
-  for (VmMode Mode : {VmMode::Scalar, VmMode::Span}) {
-    ExecutionOptions Interior;
-    Interior.Mode = Mode;
-    Interior.Tiling = TilingStrategy::InteriorHalo;
-    ExecutionOptions Overlapped = Interior;
-    Overlapped.Tiling = TilingStrategy::Overlapped;
-    Overlapped.TileWidth = TileW;
-    Overlapped.TileHeight = TileH;
-
-    std::vector<Image> Want = runWith(P, FP, Interior, 11);
-    std::vector<Image> Got = runWith(P, FP, Overlapped, 11);
-    expectPoolsIdentical(P, Got, Want,
-                         std::to_string(W) + "x" + std::to_string(H) +
-                             " tile " + std::to_string(TileW) + "x" +
-                             std::to_string(TileH) + " vm=" +
-                             vmModeName(Mode));
-  }
+  ExecutionOptions Base;
+  Base.TileWidth = TileW;
+  Base.TileHeight = TileH;
+  expectMatrixMatchesOracle(FP, Inputs, runOracle(FP, Inputs),
+                            std::to_string(W) + "x" + std::to_string(H) +
+                                " tile " + std::to_string(TileW) + "x" +
+                                std::to_string(TileH),
+                            Base);
 }
 
 INSTANTIATE_TEST_SUITE_P(

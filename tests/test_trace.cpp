@@ -13,6 +13,7 @@
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
 #include "sim/Metrics.h"
+#include "sim/Session.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 #include "transform/Fuser.h"
@@ -21,6 +22,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <thread>
 
@@ -251,6 +253,54 @@ TEST_F(TraceTest, FusedVmRecordsLaunchMetricsWhenEnabled) {
   for (const TraceSpanRecord &Span : TraceRecorder::global().spans())
     if (Span.Name.rfind("launch ", 0) == 0)
       ++LaunchSpans;
+  EXPECT_EQ(LaunchSpans, FP.numLaunches());
+}
+
+/// Metrics and trace spans book a launch by the interior engine that
+/// actually ran it: a JIT session's launches read "jit", never "span".
+TEST_F(TraceTest, JitSessionBooksLaunchesAsJit) {
+  MetricsRegistry &Registry = MetricsRegistry::global();
+  Registry.setEnabled(true);
+  TraceRecorder::global().setEnabled(true);
+
+  Program P = makeSobel(80, 24);
+  FusedProgram FP = wholeProgramFused(P);
+  ExecutionOptions Options;
+  Options.Threads = 1;
+  Options.Mode = VmMode::Jit;
+  Options.Tiling = TilingStrategy::InteriorHalo; // JIT needs the interior.
+  PlanCache Cache;
+  PipelineSession Session(FP, Options, &Cache);
+  std::vector<Image> Frame = Session.acquireFrame();
+  std::vector<Image> Inputs = seededPool(P, 5);
+  for (ImageId In : P.externalInputs())
+    Frame[In] = Inputs[In];
+  Session.runFrame(Frame);
+
+  std::vector<LaunchModelRecord> Records = Registry.records();
+  ASSERT_EQ(Records.size(), FP.numLaunches());
+  for (const LaunchModelRecord &Record : Records) {
+    EXPECT_EQ(Record.JitRuns, 1u) << Record.Launch;
+    EXPECT_EQ(Record.SpanRuns, 0u) << Record.Launch;
+    EXPECT_DOUBLE_EQ(Record.jitOverSpan(), 0.0); // One mode measured.
+  }
+  std::string Table = Registry.renderTable();
+  EXPECT_NE(Table.find(" jit "), std::string::npos) << Table;
+  EXPECT_EQ(Table.find(" span "), std::string::npos) << Table;
+  std::string Json = Registry.toJson();
+  EXPECT_NE(Json.find("\"jit_runs\": 1"), std::string::npos) << Json;
+  EXPECT_NE(Json.find("\"interior_jit_ms\""), std::string::npos);
+  EXPECT_NE(Json.find("\"jit_over_span\""), std::string::npos);
+
+  unsigned LaunchSpans = 0;
+  for (const TraceSpanRecord &Span : TraceRecorder::global().spans()) {
+    if (Span.Name.rfind("launch ", 0) != 0)
+      continue;
+    ++LaunchSpans;
+    std::map<std::string, double> Args(Span.Args.begin(), Span.Args.end());
+    EXPECT_DOUBLE_EQ(Args["vm_jit"], 1.0) << Span.Name;
+    EXPECT_DOUBLE_EQ(Args["vm_span"], 0.0) << Span.Name;
+  }
   EXPECT_EQ(LaunchSpans, FP.numLaunches());
 }
 

@@ -2,13 +2,16 @@
 //
 // The interval-fact-gated bytecode optimizer (ir/VmOptimizer.h): unit
 // tests of the bit-exact Min/Max/Select decision predicates, the
-// differential suite proving optimized session plans bit-identical to
-// unoptimized ones across every registry pipeline x VM mode x tiling
-// strategy, the validator re-pass over optimized streams, the
+// differential suite proving optimized and unoptimized session plans
+// bit-identical to the AST oracle across every registry pipeline x VM
+// mode x tiling strategy x thread count (the shared harness of
+// tests/EngineMatrix.h), the validator re-pass over optimized streams, the
 // KF_OPT / OptMode::Off escape hatch, the removed-instruction stats, and
 // the KF-B09 mutation test for the JIT refusal gate.
 //
 //===----------------------------------------------------------------------===//
+
+#include "EngineMatrix.h"
 
 #include "analysis/BytecodeValidator.h"
 #include "analysis/IntervalAnalysis.h"
@@ -31,6 +34,7 @@
 #include <functional>
 
 using namespace kf;
+using namespace kf::test;
 
 namespace {
 
@@ -160,37 +164,14 @@ std::vector<Image> runOneFrame(const FusedProgram &FP, const Program &P,
 //===--------------------------------------------------------------------===//
 
 TEST(VmOptDifferential, RegistryBitIdenticalAcrossModesAndTilings) {
-  PlanCache Cache(64);
   for (const PipelineSpec &Spec : paperPipelines()) {
     SCOPED_TRACE(Spec.Name);
     BuiltPipeline B = fuseRegistry(Spec);
-    const Program &P = *B.P;
-    const FusedProgram &FP = B.FP;
-    uint64_t Seed = 0xD1FF ^ std::hash<std::string>()(Spec.Name);
-
-    ExecutionOptions Reference;
-    Reference.Opt = OptMode::Off;
-    Reference.Mode = VmMode::Scalar;
-    std::vector<Image> Want = runOneFrame(FP, P, Reference, Cache, Seed);
-
-    for (VmMode Mode : {VmMode::Scalar, VmMode::Span, VmMode::Jit}) {
-      for (TilingStrategy Tiling :
-           {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped}) {
-        for (OptMode Opt : {OptMode::On, OptMode::Off}) {
-          ExecutionOptions Options;
-          Options.Mode = Mode;
-          Options.Tiling = Tiling;
-          Options.Opt = Opt;
-          std::vector<Image> Got = runOneFrame(FP, P, Options, Cache, Seed);
-          ASSERT_EQ(Got.size(), Want.size());
-          for (size_t I = 0; I != Want.size(); ++I)
-            EXPECT_DOUBLE_EQ(maxAbsDifference(Got[I], Want[I]), 0.0)
-                << Spec.Name << " mode=" << vmModeName(Mode)
-                << " tiling=" << tilingStrategyName(Tiling)
-                << " opt=" << optModeName(Opt) << " output " << I;
-        }
-      }
-    }
+    std::vector<Image> Inputs = makeImagePool(*B.P);
+    fillExternalInputs(*B.P, Inputs,
+                       0xD1FF ^ std::hash<std::string>()(Spec.Name));
+    expectMatrixMatchesOracle(B.FP, Inputs, runOracle(B.FP, Inputs),
+                              Spec.Name);
   }
 }
 
@@ -416,8 +397,8 @@ TEST(JitRefusal, NonFiniteConstIsKfB09AndJitRefuses) {
   EXPECT_EQ(compileJitProgram(Mutated, Root, Plan->Shapes), nullptr);
 
   // The refused launch still runs -- a Jit request falls back to the
-  // span interpreter, bit-identical to the scalar reference on the
-  // mutated program.
+  // span interpreter, bit-identical to per-pixel bordered evaluation of
+  // the mutated program.
   std::vector<Image> Pool(Plan->Shapes.size());
   fillInputs(*Plan, Pool, 1234);
   for (size_t I = 0; I != Pool.size(); ++I)
@@ -428,11 +409,13 @@ TEST(JitRefusal, NonFiniteConstIsKfB09AndJitRefuses) {
   ThreadPool TP(2);
   VmScratch Scratch;
 
-  Image ScalarOut(Info.Width, Info.Height, Info.Channels);
-  ExecutionOptions Scalar;
-  Scalar.Mode = VmMode::Scalar;
-  runCompiledLaunch(Mutated, Root, Halo, Pool, ScalarOut, Scalar, TP,
-                    Scratch);
+  Image Want(Info.Width, Info.Height, Info.Channels);
+  std::vector<float> Regs(Mutated.NumRegs);
+  for (int Y = 0; Y != Info.Height; ++Y)
+    for (int X = 0; X != Info.Width; ++X)
+      for (int C = 0; C != Info.Channels; ++C)
+        Want.at(X, Y, C) =
+            runStagedVm(Mutated, Root, Pool, X, Y, C, Regs.data());
 
   Image JitOut(Info.Width, Info.Height, Info.Channels);
   ExecutionOptions Jit;
@@ -441,7 +424,7 @@ TEST(JitRefusal, NonFiniteConstIsKfB09AndJitRefuses) {
   runCompiledLaunch(Mutated, Root, Halo, Pool, JitOut, Jit, TP, Scratch,
                     &Timing, /*Jit=*/nullptr);
   EXPECT_NE(Timing.Mode, VmMode::Jit); // the gate refused; span ran
-  EXPECT_EQ(countDifferingSamples(JitOut, ScalarOut, 0.0), 0);
+  EXPECT_EQ(countDifferingSamples(JitOut, Want, 0.0), 0);
 }
 
 } // namespace

@@ -1,18 +1,20 @@
-//===- tests/test_vmspan.cpp - Span-mode vs scalar-mode VM execution ------------===//
+//===- tests/test_vmspan.cpp - Span-mode VM vs the AST oracle ------------------===//
 //
-// The lane-batched span interior mode (runVmSpan / runStagedVmSpan,
-// VmMode::Span) must be bit-identical to the per-pixel scalar mode on
-// every bundled pipeline, at every thread count, for every border mode,
-// and across every tail width around the lane boundary. The scalar mode
-// is itself verified against the AST walker in test_fusedvm.cpp, so
-// span == scalar closes the chain back to the semantic reference.
+// The lane-batched span interior (runStagedVmSpan, VmMode::Span) and its
+// JIT (VmMode::Jit) must be bit-identical to the AST oracle (runFused /
+// runUnfused) on every bundled pipeline, fused and unfused, under every
+// tiling strategy, optimizer setting and thread count, for every border
+// mode, and to the per-pixel bordered evaluator (runStagedVm) across every
+// tail width around the lane boundary. The engine matrix is the shared
+// harness of tests/EngineMatrix.h.
 //
 // Also covers the KF_VM environment resolution (resolveVmMode).
 //
 //===----------------------------------------------------------------------===//
 
+#include "EngineMatrix.h"
+
 #include "fusion/MinCutPartitioner.h"
-#include "image/Compare.h"
 #include "image/Generators.h"
 #include "pipelines/Pipelines.h"
 #include "sim/Executor.h"
@@ -21,28 +23,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <thread>
 #include <vector>
 
 using namespace kf;
+using namespace kf::test;
 
 namespace {
 
-/// Fuses the whole program into one block (forces fusion regardless of
-/// the benefit model).
-Partition wholeProgramPartition(const Program &P) {
-  Partition S;
-  PartitionBlock Block;
-  for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-    Block.Kernels.push_back(Id);
-  S.Blocks.push_back(std::move(Block));
-  return S;
-}
-
-/// Builds a pipeline at test size with a deterministic random input.
+/// A registry pipeline at test size with deterministic random inputs.
 struct TestApp {
   Program P;
-  Image Input;
+  std::vector<Image> Inputs;
 };
 
 TestApp makeTestApp(const std::string &Name) {
@@ -50,34 +41,15 @@ TestApp makeTestApp(const std::string &Name) {
   EXPECT_NE(Spec, nullptr);
   // Wide enough that interior rows span several lane chunks plus a tail.
   int W = VmLaneWidth * 2 + 21;
-  TestApp App{Spec->Builder(W, 24), Image()};
-  const ImageInfo &InInfo = App.P.image(0);
-  Rng Gen(977);
-  App.Input =
-      makeRandomImage(InInfo.Width, InInfo.Height, InInfo.Channels, Gen);
+  TestApp App{Spec->Builder(W, 24), {}};
+  App.Inputs = makeImagePool(App.P);
+  fillExternalInputs(App.P, App.Inputs, 977);
   return App;
 }
 
-void expectPoolsIdentical(const Program &P, const std::vector<Image> &Got,
-                          const std::vector<Image> &Want,
-                          const std::string &Tag) {
-  for (ImageId Id = 0; Id != P.numImages(); ++Id) {
-    EXPECT_EQ(Got[Id].empty(), Want[Id].empty())
-        << Tag << " image " << P.image(Id).Name;
-    if (Got[Id].empty() || Want[Id].empty())
-      continue;
-    EXPECT_DOUBLE_EQ(maxAbsDifference(Got[Id], Want[Id]), 0.0)
-        << Tag << " image " << P.image(Id).Name;
-  }
-}
-
-std::vector<int> threadSweep() {
-  unsigned Hardware = std::max(std::thread::hardware_concurrency(), 1u);
-  return {1, 3, static_cast<int>(Hardware)};
-}
-
-/// Span vs scalar differential across the bundled applications, fused
-/// with the paper's min-cut partition, at 1 / 3 / hardware threads.
+/// Span and jit differential across the bundled applications, fused with
+/// the paper's min-cut partition. "Scalar" in the test names is the
+/// per-pixel evaluation the span interior must reproduce: the AST oracle.
 class VmSpanEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(VmSpanEquivalence, FusedSpanMatchesScalarAcrossThreadCounts) {
@@ -85,51 +57,25 @@ TEST_P(VmSpanEquivalence, FusedSpanMatchesScalarAcrossThreadCounts) {
   Partition Blocks = runMinCutFusion(App.P, HardwareModel()).Blocks;
   FusedProgram FP = fuseProgram(App.P, Blocks, FusionStyle::Optimized);
 
-  for (int Threads : threadSweep()) {
-    ExecutionOptions Scalar;
-    Scalar.Threads = Threads;
-    Scalar.TileHeight = 3; // Force multiple tiles even on small images.
-    Scalar.Mode = VmMode::Scalar;
-    ExecutionOptions Span = Scalar;
-    Span.Mode = VmMode::Span;
-
-    std::vector<Image> ScalarPool = makeImagePool(App.P);
-    ScalarPool[0] = App.Input;
-    runFusedVm(FP, ScalarPool, Scalar);
-
-    std::vector<Image> SpanPool = makeImagePool(App.P);
-    SpanPool[0] = App.Input;
-    runFusedVm(FP, SpanPool, Span);
-
-    expectPoolsIdentical(App.P, SpanPool, ScalarPool,
-                         GetParam() + " fused threads=" +
-                             std::to_string(Threads));
-  }
+  ExecutionOptions Base;
+  Base.TileHeight = 3; // Force multiple tiles even on small images.
+  expectMatrixMatchesOracle(FP, App.Inputs, runOracle(FP, App.Inputs),
+                            GetParam() + " fused", Base);
 }
 
+/// Unfused programs run as single-stage staged launches
+/// (unfusedProgram(P)) and must match the unfused AST walker.
 TEST_P(VmSpanEquivalence, UnfusedSpanMatchesScalarAcrossThreadCounts) {
   TestApp App = makeTestApp(GetParam());
+  FusedProgram Unfused = unfusedProgram(App.P);
 
-  for (int Threads : threadSweep()) {
-    ExecutionOptions Scalar;
-    Scalar.Threads = Threads;
-    Scalar.TileHeight = 3;
-    Scalar.Mode = VmMode::Scalar;
-    ExecutionOptions Span = Scalar;
-    Span.Mode = VmMode::Span;
+  std::vector<Image> Oracle = App.Inputs;
+  runUnfused(App.P, Oracle);
 
-    std::vector<Image> ScalarPool = makeImagePool(App.P);
-    ScalarPool[0] = App.Input;
-    runUnfusedVm(App.P, ScalarPool, Scalar);
-
-    std::vector<Image> SpanPool = makeImagePool(App.P);
-    SpanPool[0] = App.Input;
-    runUnfusedVm(App.P, SpanPool, Span);
-
-    expectPoolsIdentical(App.P, SpanPool, ScalarPool,
-                         GetParam() + " unfused threads=" +
-                             std::to_string(Threads));
-  }
+  ExecutionOptions Base;
+  Base.TileHeight = 3;
+  expectMatrixMatchesOracle(Unfused, App.Inputs, Oracle,
+                            GetParam() + " unfused", Base);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPipelines, VmSpanEquivalence,
@@ -138,38 +84,31 @@ INSTANTIATE_TEST_SUITE_P(AllPipelines, VmSpanEquivalence,
                                            "night"),
                          [](const auto &Info) { return Info.param; });
 
-/// Border-mode sweep: span and scalar must agree for every border mode,
-/// with and without the index exchange (the halo path is shared, but the
-/// interior/halo split depends on the reach, so sweep both).
+/// Border-mode sweep, with and without the index exchange (the halo path
+/// is shared, but the interior/halo split depends on the reach, so sweep
+/// both), fused and unfused.
 class VmSpanBorder : public ::testing::TestWithParam<BorderMode> {};
 
 TEST_P(VmSpanBorder, BlurChainSpanMatchesScalar) {
   BorderMode Mode = GetParam();
   int W = VmLaneWidth + 19, H = 14;
   Program P = makeBlurChain(W, H, Mode);
-  Rng Gen(4242);
-  Image Input = makeRandomImage(W, H, 1, Gen);
+  std::vector<Image> Inputs = makeImagePool(P);
+  fillExternalInputs(P, Inputs, 4242);
   FusedProgram FP =
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+  FusedProgram Unfused = unfusedProgram(P);
 
   for (bool Exchange : {true, false}) {
-    ExecutionOptions Scalar;
-    Scalar.UseIndexExchange = Exchange;
-    Scalar.Mode = VmMode::Scalar;
-    ExecutionOptions Span = Scalar;
-    Span.Mode = VmMode::Span;
-
-    std::vector<Image> ScalarPool = makeImagePool(P);
-    ScalarPool[0] = Input;
-    runFusedVm(FP, ScalarPool, Scalar);
-
-    std::vector<Image> SpanPool = makeImagePool(P);
-    SpanPool[0] = Input;
-    runFusedVm(FP, SpanPool, Span);
-
-    EXPECT_DOUBLE_EQ(maxAbsDifference(SpanPool[2], ScalarPool[2]), 0.0)
-        << borderModeName(Mode)
-        << (Exchange ? " (index exchange)" : " (naive)");
+    ExecutionOptions Base;
+    Base.UseIndexExchange = Exchange;
+    std::string Tag = std::string(borderModeName(Mode)) +
+                      (Exchange ? " (index exchange)" : " (naive)");
+    expectMatrixMatchesOracle(FP, Inputs, runOracle(FP, Inputs, Base),
+                              Tag + " fused", Base);
+    expectMatrixMatchesOracle(Unfused, Inputs,
+                              runOracle(Unfused, Inputs, Base),
+                              Tag + " unfused", Base);
   }
 }
 
@@ -183,20 +122,12 @@ INSTANTIATE_TEST_SUITE_P(AllModes, VmSpanBorder,
                          });
 
 /// Tail handling: spans of width 1, VmLaneWidth - 1, VmLaneWidth and
-/// VmLaneWidth + 1 must each match per-pixel interior evaluation exactly
-/// -- the widths that straddle the chunking boundary.
-TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
-  int W = VmLaneWidth + 16, H = 12;
-  Program P = makeBlurChain(W, H, BorderMode::Mirror);
-  FusedProgram FP =
-      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
-  StagedVmProgram SP = compileFusedKernel(FP, FP.Kernels[0]);
-  uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-
-  std::vector<Image> Pool = makeImagePool(P);
-  Rng Gen(19);
-  Pool[0] = makeRandomImage(W, H, 1, Gen);
-
+/// VmLaneWidth + 1 must each match the per-pixel bordered evaluator
+/// exactly -- the widths that straddle the chunking boundary -- for a
+/// fused chain and for a single-stage (unfused) kernel.
+void expectTailWidthsMatchPerPixel(const StagedVmProgram &SP, uint16_t Root,
+                                   const std::vector<Image> &Pool, int W,
+                                   int H) {
   int Halo = SP.Reach[Root];
   int Y = H / 2;
   std::vector<float> LaneRegs(static_cast<size_t>(SP.NumRegs) *
@@ -211,40 +142,34 @@ TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
     runStagedVmSpan(SP, Root, Pool, Y, X0, X1, 0, LaneRegs.data(),
                     Out.data());
     for (int X = X0; X != X1; ++X)
-      EXPECT_FLOAT_EQ(Out[X - X0], runStagedVmInterior(SP, Root, Pool, X,
-                                                       Y, 0,
-                                                       PixelRegs.data()))
+      EXPECT_FLOAT_EQ(Out[X - X0], runStagedVm(SP, Root, Pool, X, Y, 0,
+                                               PixelRegs.data()))
           << "width=" << Width << " x=" << X;
   }
+}
+
+TEST(VmSpan, StagedTailWidthsMatchPerPixel) {
+  int W = VmLaneWidth + 16, H = 12;
+  Program P = makeBlurChain(W, H, BorderMode::Mirror);
+  FusedProgram FP =
+      fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
+  StagedVmProgram SP = compileFusedKernel(FP, FP.Kernels[0]);
+
+  std::vector<Image> Pool = makeImagePool(P);
+  fillExternalInputs(P, Pool, 19);
+  expectTailWidthsMatchPerPixel(
+      SP, static_cast<uint16_t>(SP.Stages.size() - 1), Pool, W, H);
 }
 
 TEST(VmSpan, PlainKernelTailWidthsMatchPerPixel) {
   int W = VmLaneWidth + 16, H = 12;
   Program P = makeBlurChain(W, H, BorderMode::Clamp);
-  KernelId Id = 0; // First blur: a plain 3x3 convolution.
-  VmProgram VM = compileKernelBody(P, Id);
+  // First blur alone: a plain 3x3 convolution as a single-stage program.
+  StagedVmProgram SP = compileStagedProgram(P, {0}, {false});
 
   std::vector<Image> Pool = makeImagePool(P);
-  Rng Gen(23);
-  Pool[0] = makeRandomImage(W, H, 1, Gen);
-
-  int Halo = vmHalo(VM);
-  int Y = H / 2;
-  std::vector<float> LaneRegs(static_cast<size_t>(VM.NumRegs) *
-                              VmLaneWidth);
-  std::vector<float> PixelRegs(VM.NumRegs);
-
-  for (int Width :
-       {1, VmLaneWidth - 1, VmLaneWidth, VmLaneWidth + 1}) {
-    int X0 = Halo, X1 = X0 + Width;
-    ASSERT_LE(X1, W - Halo) << "test image too narrow";
-    std::vector<float> Out(Width);
-    runVmSpan(VM, P, Id, Pool, Y, X0, X1, 0, LaneRegs.data(), Out.data());
-    for (int X = X0; X != X1; ++X)
-      EXPECT_FLOAT_EQ(Out[X - X0], runVmInterior(VM, P, Id, Pool, X, Y, 0,
-                                                 PixelRegs.data()))
-          << "width=" << Width << " x=" << X;
-  }
+  fillExternalInputs(P, Pool, 23);
+  expectTailWidthsMatchPerPixel(SP, 0, Pool, W, H);
 }
 
 /// Strided output: span mode must honor OutStride (the multi-channel
@@ -258,8 +183,7 @@ TEST(VmSpan, StridedOutputMatchesDense) {
   uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
 
   std::vector<Image> Pool = makeImagePool(P);
-  Rng Gen(31);
-  Pool[0] = makeRandomImage(W, H, 1, Gen);
+  fillExternalInputs(P, Pool, 31);
 
   int Halo = SP.Reach[Root];
   int X0 = Halo, X1 = W - Halo, Y = 4, Width = X1 - X0;
@@ -293,20 +217,25 @@ TEST(VmSpan, ResolveVmModeHonorsEnvironment) {
   ::unsetenv("KF_VM");
   EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
 
-  ::setenv("KF_VM", "scalar", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Scalar);
+  ::setenv("KF_VM", "jit", 1);
+  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Jit);
 
   ::setenv("KF_VM", "span", 1);
   EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
 
-  // Malformed values fall back to span (with a once-per-process warning).
+  // Malformed values -- including the retired "scalar" mode -- fall back
+  // to the default (with a once-per-process warning).
   ::setenv("KF_VM", "vectorized", 1);
   EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
+  ::setenv("KF_VM", "scalar", 1);
+  EXPECT_EQ(resolveVmMode(VmMode::Auto), VmMode::Span);
+  EXPECT_EQ(resolveVmMode(VmMode::Auto, /*JitAvailable=*/true),
+            VmMode::Jit);
 
   // Explicit requests win regardless of the environment.
   ::setenv("KF_VM", "span", 1);
-  EXPECT_EQ(resolveVmMode(VmMode::Scalar), VmMode::Scalar);
-  ::setenv("KF_VM", "scalar", 1);
+  EXPECT_EQ(resolveVmMode(VmMode::Jit), VmMode::Jit);
+  ::setenv("KF_VM", "jit", 1);
   EXPECT_EQ(resolveVmMode(VmMode::Span), VmMode::Span);
 
   if (Saved)
@@ -317,8 +246,8 @@ TEST(VmSpan, ResolveVmModeHonorsEnvironment) {
 
 TEST(VmSpan, ModeNames) {
   EXPECT_STREQ(vmModeName(VmMode::Auto), "auto");
-  EXPECT_STREQ(vmModeName(VmMode::Scalar), "scalar");
   EXPECT_STREQ(vmModeName(VmMode::Span), "span");
+  EXPECT_STREQ(vmModeName(VmMode::Jit), "jit");
 }
 
 } // namespace

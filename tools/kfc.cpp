@@ -86,11 +86,12 @@ static void printUsage() {
       "  --run                        execute on random input: fused VM vs\n"
       "                               unfused AST wall time + max |diff|\n"
       "  --threads <n>                worker threads for --run (0 = auto)\n"
-      "  --vm scalar|span|jit         interior VM engine for --run:\n"
-      "                               span (lane-batched, default), jit\n"
-      "                               (compiled per-plan cell chains), or\n"
-      "                               scalar (per-pixel); KF_VM overrides\n"
-      "                               the default\n"
+      "  --vm auto|span|jit           interior VM engine for --run: auto\n"
+      "                               (jit when the plan compiled one,\n"
+      "                               else span; default), span\n"
+      "                               (lane-batched interpreter), or jit\n"
+      "                               (compiled per-plan cell chains);\n"
+      "                               KF_VM overrides auto\n"
       "  --tiling interior|overlapped|tuned  tiling strategy for --run:\n"
       "                               interior/halo split (default),\n"
       "                               overlapped tiles recomputing their\n"
@@ -135,16 +136,14 @@ static bool parseExecutionOptions(const CommandLine &Cl,
                                   ExecutionOptions &Exec) {
   Exec.Threads = static_cast<int>(Cl.getIntOption("threads", 0));
   std::string VmName = Cl.getOption("vm", "auto");
-  if (VmName == "scalar")
-    Exec.Mode = VmMode::Scalar;
-  else if (VmName == "span")
+  if (VmName == "span")
     Exec.Mode = VmMode::Span;
   else if (VmName == "jit")
     Exec.Mode = VmMode::Jit;
   else if (VmName != "auto") {
     std::fprintf(stderr,
-                 "error: invalid --vm '%s' (expected 'scalar', 'span' "
-                 "or 'jit')\n",
+                 "error: invalid --vm '%s' (expected 'auto', 'span' or "
+                 "'jit')\n",
                  VmName.c_str());
     return false;
   }
