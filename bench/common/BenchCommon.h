@@ -15,7 +15,7 @@
 #include "fusion/HardwareModel.h"
 #include "pipelines/Pipelines.h"
 #include "sim/CostModel.h"
-#include "sim/Executor.h"
+#include "sim/Session.h"
 #include "sim/Runner.h"
 #include "transform/Fuser.h"
 

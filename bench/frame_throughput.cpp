@@ -3,16 +3,16 @@
 // Measures frames/sec of a streaming serving workload -- the same fused
 // pipeline applied to a stream of frames -- cold versus warm:
 //
-//   cold  per-frame runFusedVm loop: every frame re-compiles the staged
-//         bytecode, rebuilds the thread pool, and allocates every buffer
-//         (what a naive serving loop over the PR-1 engine pays);
+//   cold  per-frame runFusedVm loop: every frame compiles its plan
+//         (bytecode, gate, optimizer, JIT), rebuilds the thread pool, and
+//         allocates every buffer (what a naive serving loop pays);
 //   warm  PipelineSession: the plan is compiled once and served from the
 //         plan cache, frame buffers recycle through the session's frame
 //         pool, and the next frame's input fill overlaps execution on a
 //         filler thread (double buffering).
 //
-// A second experiment swaps the interior VM engine on the same compiled
-// launches: span (lane-batched interpretation) versus jit (per-plan
+// A second experiment swaps the interior VM engine on the launches of one
+// compiled plan: span (lane-batched interpretation) versus jit (per-plan
 // compiled cell chains, src/jit), reporting the jit-over-span interior
 // speedup and asserting both engines bit-identical.
 //
@@ -136,10 +136,12 @@ int main(int Argc, char **Argv) {
           std::max(MaxDiff, maxAbsDifference(WarmLast[Out], ColdLast[Out]));
     }
 
-  // Span-vs-jit interior A/B: the same compiled launches with the
-  // interior engine swapped, interior CPU time collected per launch via
-  // LaunchTiming (min over reps -- compile time never enters the split).
+  // Span-vs-jit interior A/B: the same compiled plan -- launches and
+  // plan-time JIT artifacts from compilePlan -- with the interior engine
+  // swapped, interior CPU time collected per launch via LaunchTiming (min
+  // over reps -- compile time never enters the split).
   int AbReps = std::max(1, static_cast<int>(Cl.getIntOption("ab-reps", 3)));
+  std::shared_ptr<const CompiledPlan> AbPlan = compilePlan(FP, Options);
   struct InteriorMeasure {
     double InteriorMs = 0.0;
     double HaloMs = 0.0;
@@ -155,20 +157,13 @@ int main(int Argc, char **Argv) {
     FillFrame(0, M.Pool);
     for (int R = 0; R != AbReps; ++R) {
       LaunchTiming Timing;
-      for (const FusedKernel &FK : FP.Kernels) {
-        StagedVmProgram SP = compileFusedKernel(FP, FK);
-        for (KernelId DestId : FK.Destinations) {
-          uint16_t Root = 0;
-          for (size_t I = 0; I != FK.Stages.size(); ++I)
-            if (FK.Stages[I].Kernel == DestId)
-              Root = static_cast<uint16_t>(I);
-          ImageId OutId = P.kernel(DestId).Output;
-          const ImageInfo &Info = P.image(OutId);
-          Image Out(Info.Width, Info.Height, Info.Channels);
-          runCompiledLaunch(SP, Root, fusedLaunchHalo(SP, Root, Info),
-                            M.Pool, Out, ModeOptions, TP, Scratch, &Timing);
-          M.Pool[OutId] = std::move(Out);
-        }
+      for (const CompiledLaunch &Launch : AbPlan->Launches) {
+        const ImageInfo &Info = AbPlan->Shapes[Launch.Output];
+        Image Out(Info.Width, Info.Height, Info.Channels);
+        runCompiledLaunch(Launch.Code, Launch.Root, Launch.Halo, M.Pool, Out,
+                          ModeOptions, TP, Scratch, &Timing,
+                          Launch.Jit.get());
+        M.Pool[Launch.Output] = std::move(Out);
       }
       if (R == 0 || Timing.InteriorMs < M.InteriorMs) {
         M.InteriorMs = Timing.InteriorMs;

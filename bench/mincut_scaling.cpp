@@ -94,7 +94,7 @@ BENCHMARK(BM_FuserMaterialization);
 
 #include "image/Generators.h"
 #include "ir/ExprVM.h"
-#include "sim/Executor.h"
+#include "sim/Session.h"
 #include "transform/Fuser.h"
 
 static void BM_InterpreterHarris(benchmark::State &State) {

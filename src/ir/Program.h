@@ -58,6 +58,8 @@ public:
   }
 
   const ImageInfo &image(ImageId Id) const;
+  /// The image table, indexed by ImageId: the pool shapes of a run.
+  const std::vector<ImageInfo> &images() const { return Images; }
   const Mask &mask(int Idx) const;
   const Kernel &kernel(KernelId Id) const;
   Kernel &kernel(KernelId Id);

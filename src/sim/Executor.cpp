@@ -5,21 +5,16 @@
 #include "jit/JitProgram.h"
 
 #include "image/Border.h"
-#include "sim/Metrics.h"
 #include "support/Error.h"
 #include "support/ThreadPool.h"
 #include "support/Trace.h"
 
-#include "sim/Tuner.h"
-
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -301,20 +296,6 @@ void kf::resolveTileSize(const ExecutionOptions &Options,
                          TilingStrategy Strategy, int ImageW, int ImageH,
                          unsigned Threads, int &TileW, int &TileH) {
   int W = Options.TileWidth, H = Options.TileHeight;
-  // The environment override only applies when the caller left the tile
-  // unset, mirroring KF_THREADS: explicit configuration always wins.
-  if (W <= 0 && H <= 0) {
-    if (const char *Env = std::getenv("KF_TILE")) {
-      if (!parseTileSpec(Env, W, H)) {
-        static std::atomic<bool> Warned{false};
-        if (!Warned.exchange(true))
-          std::fprintf(stderr,
-                       "warning: ignoring invalid KF_TILE='%s' (expected "
-                       "'WxH' with extents in [1, 65536])\n",
-                       Env);
-      }
-    }
-  }
   if (Strategy == TilingStrategy::Overlapped) {
     // A block whose grown planes stay L2-resident for typical reaches;
     // the tuner refines this per plan.
@@ -557,8 +538,9 @@ void kf::runUnfused(const Program &P, std::vector<Image> &Pool,
   for (KernelId Id : *Order) {
     const Kernel &K = P.kernel(Id);
     const ImageInfo &Info = P.image(K.Output);
-    std::string Label = "launch " + K.Name;
-    TraceSpan Span(Label.c_str(), "sim");
+    // The oracle's spans stay out of the "launch" rows of the VM.
+    std::string Label = "reference " + K.Name;
+    TraceSpan Span(Label.c_str(), "reference");
     Image Out(Info.Width, Info.Height, Info.Channels);
     PoolSource Source(K, Pool);
     ExprEvaluator Eval(P, Source);
@@ -659,22 +641,8 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
       Strategy = TilingStrategy::InteriorHalo;
   }
 
-  // A Jit request without a plan-time artifact (e.g. KF_VM=jit through
-  // runFusedVm, which compiles bytecode per call): compile one on the
-  // fly from the pool's materialized shapes. The compile is gated on the
-  // bytecode validator; refusal falls back to the bit-identical span
-  // interpreter rather than failing the launch.
-  std::shared_ptr<const JitProgram> OwnedJit;
-  if (Mode == VmMode::Jit && !Jit) {
-    std::vector<ImageInfo> Shapes(Pool.size());
-    for (size_t I = 0; I != Pool.size(); ++I) {
-      Shapes[I].Width = Pool[I].width();
-      Shapes[I].Height = Pool[I].height();
-      Shapes[I].Channels = Pool[I].empty() ? 1 : Pool[I].channels();
-    }
-    OwnedJit = compileJitProgram(SP, Root, Shapes);
-    Jit = OwnedJit.get();
-  }
+  // A Jit request without a plan-time artifact (the plan's JIT compile
+  // refused the launch) runs the bit-identical span interpreter.
   if (Mode == VmMode::Jit && !Jit)
     Mode = VmMode::Span;
   // The JIT chains load directly from pool images; the overlapped
@@ -737,73 +705,6 @@ void kf::runCompiledLaunch(const StagedVmProgram &SP, uint16_t Root,
         TR.addCounter("tile.redundant_halo_ms",
                       InteriorDelta * static_cast<double>(OverlapDelta) /
                           static_cast<double>(ComputedDelta));
-    }
-  }
-}
-
-void kf::runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
-                    const ExecutionOptions &Options) {
-  const Program &P = *FP.Source;
-  assert(Pool.size() == P.numImages() && "pool size mismatch");
-  checkExternalInputs(P, Pool);
-  ThreadPool TP(resolveThreadCount(Options.Threads));
-
-  // Launch-level observability: the interior/halo timing split is only
-  // collected (clock reads per row) when some consumer is listening.
-  const bool Observe = TraceRecorder::enabled() || MetricsRegistry::enabled();
-  if (MetricsRegistry::enabled())
-    MetricsRegistry::global().recordPrediction(P.name(), FP);
-
-  // A Tuned tiling request resolves here, before any launch runs: the
-  // execution autotuner scores strategy x tile-shape candidates on the
-  // cost model and the whole frame runs the winner. An explicit user
-  // tile shape is respected; only unset extents take the tuned shape.
-  ExecutionOptions Effective = Options;
-  Effective.Tiling = resolveTilingStrategy(Options.Tiling);
-  if (Effective.Tiling == TilingStrategy::Tuned) {
-    const ExecTuneResult Tuned = tuneExecution(
-        FP, MetricsRegistry::referenceDevice(), CostModelParams());
-    Effective.Tiling = Tuned.Best.Candidate.Strategy;
-    if (Options.TileWidth <= 0 && Options.TileHeight <= 0) {
-      Effective.TileWidth = Tuned.Best.Candidate.Tile.Width;
-      Effective.TileHeight = Tuned.Best.Candidate.Tile.Height;
-    }
-  }
-
-  VmScratch Scratch;
-  for (const FusedKernel &FK : FP.Kernels) {
-    StagedVmProgram SP = compileFusedKernel(FP, FK);
-    for (KernelId DestId : FK.Destinations) {
-      uint16_t Root = 0;
-      for (size_t I = 0; I != FK.Stages.size(); ++I)
-        if (FK.Stages[I].Kernel == DestId)
-          Root = static_cast<uint16_t>(I);
-      const Kernel &Dest = P.kernel(DestId);
-      const ImageInfo &Info = P.image(Dest.Output);
-      Image Out(Info.Width, Info.Height, Info.Channels);
-      if (!Observe) {
-        runCompiledLaunch(SP, Root, fusedLaunchHalo(SP, Root, Info), Pool,
-                          Out, Effective, TP, Scratch);
-      } else {
-        std::string Label = "launch " + FK.Name;
-        LaunchTiming Timing;
-        TraceSpan Span(Label.c_str(), "sim");
-        runCompiledLaunch(SP, Root, fusedLaunchHalo(SP, Root, Info), Pool,
-                          Out, Effective, TP, Scratch, &Timing);
-        Span.arg("interior_ms", Timing.InteriorMs);
-        Span.arg("halo_ms", Timing.HaloMs);
-        Span.arg("vm_span", Timing.Mode == VmMode::Span ? 1.0 : 0.0);
-        Span.arg("vm_jit", Timing.Mode == VmMode::Jit ? 1.0 : 0.0);
-        Span.arg("tiling_overlapped",
-                 Timing.Tiling == TilingStrategy::Overlapped ? 1.0 : 0.0);
-        Span.arg("overlap_pixels",
-                 static_cast<double>(Timing.OverlapPixels));
-        Span.arg("stages", static_cast<double>(FK.Stages.size()));
-        MetricsRegistry::global().recordLaunch(
-            P.name(), FK.Name, Timing.TotalMs, Timing.InteriorMs,
-            Timing.HaloMs, Timing.Mode, Timing.Tiling);
-      }
-      Pool[Dest.Output] = std::move(Out);
     }
   }
 }

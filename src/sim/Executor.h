@@ -12,11 +12,13 @@
 ///   - the AST walker (runUnfused / runFused): virtual dispatch per
 ///     expression node, recursive producer re-evaluation -- the semantic
 ///     reference;
-///   - the staged bytecode VM (runFusedVm, runCompiledLaunch): every
-///     launch compiles once to a staged program with stage-call ops (see
-///     ir/ExprVM.h; an unfused program, unfusedProgram(P), is a sequence
-///     of single-stage launches). The interior runs the span interpreter
-///     or its JIT, the halo the bordered per-pixel evaluator.
+///   - the staged bytecode VM (runCompiledLaunch): every launch compiles
+///     once to a staged program with stage-call ops (see ir/ExprVM.h; an
+///     unfused program, unfusedProgram(P), is a sequence of single-stage
+///     launches). The interior runs the span interpreter or its JIT, the
+///     halo the bordered per-pixel evaluator. Fused programs reach it
+///     only through a compiled plan (sim/Session.h: compilePlan,
+///     PipelineSession, and the one-shot runFusedVm).
 /// Both engines execute over a tile decomposition driven by a thread pool
 /// (support/ThreadPool.h). Every pixel is a pure function of the inputs,
 /// so results are bit-identical at any thread count; the test suite
@@ -99,10 +101,8 @@ struct ExecutionOptions {
 bool parseTileSpec(const char *Text, int &TileW, int &TileH);
 
 /// Resolves the effective tile extents of one launch over a
-/// \p ImageW x \p ImageH image: explicit positive Options extents win,
-/// then a well-formed KF_TILE environment value ("WxH", same range rules
-/// as parseTileSpec, malformed values warned about once per process),
-/// then the per-strategy default -- full rows with a height heuristic
+/// \p ImageW x \p ImageH image: explicit positive Options extents win
+/// over the per-strategy default -- full rows with a height heuristic
 /// for InteriorHalo, an L2-sized 128x32 block for Overlapped. Results
 /// are clamped to the image.
 void resolveTileSize(const ExecutionOptions &Options,
@@ -133,15 +133,6 @@ void runFused(const FusedProgram &FP, std::vector<Image> &Pool,
 /// matches FK.Stages.
 StagedVmProgram compileFusedKernel(const FusedProgram &FP,
                                    const FusedKernel &FK);
-
-/// Executes \p FP through the staged bytecode VM: interior tiles run the
-/// border-check-free fast path, halo tiles the index-exchange-correct
-/// slow path. Bit-identical to runFused at any thread count -- the fast
-/// path the benchmarks use for large images. runFusedVm(unfusedProgram(P))
-/// is the VM counterpart of runUnfused: one single-stage launch per
-/// kernel.
-void runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
-                const ExecutionOptions &Options = ExecutionOptions());
 
 /// Per-worker register scratch of the VM engines, grown on demand and
 /// reusable across launches and frames. The serving layer (sim/Session.h)
@@ -196,16 +187,14 @@ struct LaunchTiming {
 /// at stage \p Root with interior/halo split \p Halo -- writing the
 /// destination image into \p Out *in place*. \p Out must already be shaped
 /// like the destination; it is fully overwritten (no prior clear needed).
-/// Building block of both runFusedVm (fresh buffers per call) and the
-/// streaming session layer (recycled buffers, persistent pool + scratch).
-/// A non-null \p Timing collects the wall time and the interior/halo CPU
-/// split of this launch.
+/// The launch step of the session layer (sim/Session.h), which runs every
+/// frame of a compiled plan through it. A non-null \p Timing collects the
+/// wall time and the interior/halo CPU split of this launch.
 ///
 /// \p Jit is the launch's JIT artifact (compiled at plan time and cached
-/// next to the plan, see sim/Session.h), or null. When the resolved mode
-/// is Jit and no artifact was supplied, one is compiled on the fly from
-/// shapes derived from \p Pool -- and if the validator-gated compilation
-/// refuses, the launch falls back to the bit-identical span interpreter.
+/// next to the plan, see sim/Session.h), or null. A Jit request without
+/// an artifact -- the validator-gated JIT compile refused the launch --
+/// runs the bit-identical span interpreter; nothing is compiled here.
 /// Under the overlapped tiling strategy interior tiles likewise run the
 /// span engine (the JIT chains read pool images, not scratch planes); a
 /// Jit request there degrades to Span, never to different results.

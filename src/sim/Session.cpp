@@ -77,6 +77,61 @@ uint64_t kf::planKey(const FusedProgram &FP, const ExecutionOptions &Options) {
   return H ^ hashExecutionOptions(Options);
 }
 
+std::vector<CompiledLaunch>
+kf::buildKernelLaunches(const FusedProgram &FP, const FusedKernel &FK,
+                        const std::vector<ImageInfo> &Shapes,
+                        DiagnosticEngine &DE) {
+  const Program &P = *FP.Source;
+  StagedVmProgram SP = compileFusedKernel(FP, FK);
+  std::vector<CompiledLaunch> Launches;
+  for (KernelId DestId : FK.Destinations) {
+    CompiledLaunch Launch;
+    Launch.Name = FK.Name;
+    Launch.Root = FK.stageIndex(DestId);
+    Launch.Output = P.kernel(DestId).Output;
+    Launch.Halo = fusedLaunchHalo(SP, Launch.Root, Shapes[Launch.Output]);
+    Launch.Code = SP;
+    analyzeLaunch(P, FK, FK.Name, Launch.Code, Launch.Root, Launch.Halo,
+                  Shapes, DE);
+    Launches.push_back(std::move(Launch));
+  }
+  return Launches;
+}
+
+IntervalAnalysisResult
+kf::threadLaunchIntervals(const CompiledLaunch &Launch,
+                          std::vector<InputRange> &Ranges,
+                          DiagnosticEngine *DE, const DiagLocation &Loc) {
+  IntervalAnalysisResult Result =
+      analyzeStagedIntervals(Launch.Code, Launch.Root, Ranges, DE, Loc);
+  InputRange &Written = Ranges[Launch.Output];
+  Written.Lo = Result.Result.Lo;
+  Written.Hi = Result.Result.Hi;
+  Written.MayNaN = Result.Result.MayNaN;
+  return Result;
+}
+
+void kf::gateFusedProgram(
+    const FusedProgram &FP, DiagnosticEngine &DE, const std::string &Unit,
+    const std::function<void(const FusedKernel &,
+                             const IntervalAnalysisResult &)> &OnKernel) {
+  const Program &P = *FP.Source;
+  std::vector<InputRange> Ranges(P.numImages());
+  for (const FusedKernel &FK : FP.Kernels) {
+    std::vector<CompiledLaunch> Launches =
+        buildKernelLaunches(FP, FK, P.images(), DE);
+    DiagLocation Loc;
+    Loc.Unit = Unit;
+    Loc.Kernel = FK.Name;
+    for (size_t I = 0; I != Launches.size(); ++I) {
+      IntervalAnalysisResult Result = threadLaunchIntervals(
+          Launches[I], Ranges, I == 0 ? &DE : nullptr, Loc);
+      if (I == 0 && OnKernel)
+        OnKernel(FK, Result);
+    }
+  }
+}
+
 std::shared_ptr<const CompiledPlan>
 kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   const Program &P = *FP.Source;
@@ -88,9 +143,7 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   auto Plan = std::make_shared<CompiledPlan>();
   Plan->Key = planKey(FP, Options);
   Plan->ProgramName = P.name();
-  Plan->Shapes.reserve(P.numImages());
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    Plan->Shapes.push_back(P.image(Id));
+  Plan->Shapes = P.images();
   Plan->ExternalInputs = P.externalInputs();
 
   // A Tuned tiling request resolves at compile time: the execution
@@ -115,21 +168,10 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
   // as diagnostics instead of undefined behavior mid-run.
   DiagnosticEngine DE;
   for (const FusedKernel &FK : FP.Kernels) {
-    StagedVmProgram SP = compileFusedKernel(FP, FK);
-    for (KernelId DestId : FK.Destinations) {
-      CompiledLaunch Launch;
-      Launch.Name = FK.Name;
-      for (size_t I = 0; I != FK.Stages.size(); ++I)
-        if (FK.Stages[I].Kernel == DestId)
-          Launch.Root = static_cast<uint16_t>(I);
-      Launch.Output = P.kernel(DestId).Output;
-      Launch.Halo =
-          fusedLaunchHalo(SP, Launch.Root, P.image(Launch.Output));
-      Launch.Code = SP;
-      analyzeLaunch(P, FK, FK.Name, Launch.Code, Launch.Root, Launch.Halo,
-                    Plan->Shapes, DE);
+    std::vector<CompiledLaunch> Launches =
+        buildKernelLaunches(FP, FK, Plan->Shapes, DE);
+    for (CompiledLaunch &Launch : Launches)
       Plan->Launches.push_back(std::move(Launch));
-    }
   }
   if (DE.errorCount() > 0)
     reportFatalError("compiled plan for '" + P.name() +
@@ -137,51 +179,37 @@ kf::compilePlan(const FusedProgram &FP, const ExecutionOptions &Options) {
 
   // With validation green, run the interval abstract interpreter over
   // every launch and -- unless KF_OPT / ExecutionOptions::Opt turns the
-  // escape hatch -- the fact-gated bytecode optimizer. Launches are in
-  // dependence order, so each launch's result interval seeds the load
-  // ranges of every later launch that reads its output; external inputs
-  // carry the declared [0, 1] contract. A rewritten stream must pass the
-  // bytecode validator again before it may replace the original (the
-  // optimizer preserves KF-B01..B11 by construction; this is the
-  // defensive recheck), and its halo is re-derived -- rewrites only ever
-  // shrink reach, which widens the interior.
+  // escape hatch -- the fact-gated bytecode optimizer. A rewritten stream
+  // must pass the bytecode validator again before it may replace the
+  // original (the optimizer preserves KF-B01..B11 by construction; this
+  // is the defensive recheck), and its halo is re-derived -- rewrites
+  // only ever shrink reach, which widens the interior.
   const bool RunOpt = resolveOptMode(Options.Opt) == OptMode::On;
-  {
-    std::vector<InputRange> PoolRanges(P.numImages());
-    double RemovedInsts = 0;
-    for (CompiledLaunch &Launch : Plan->Launches) {
-      IntervalAnalysisResult Intervals =
-          analyzeStagedIntervals(Launch.Code, Launch.Root, PoolRanges);
-      Launch.Facts = Intervals.Stages;
-      if (RunOpt) {
-        StagedVmProgram Optimized = Launch.Code;
-        uint16_t Root = Launch.Root;
-        VmOptStats Stats;
-        if (optimizeStagedProgram(Optimized, Root, Intervals.Stages,
-                                  &Stats)) {
-          DiagnosticEngine OptDE;
-          validateStagedProgram(Optimized, Root, Plan->Shapes, OptDE);
-          if (OptDE.errorCount() == 0) {
-            Launch.Code = std::move(Optimized);
-            Launch.Root = Root;
-            Launch.Halo = fusedLaunchHalo(Launch.Code, Launch.Root,
-                                          P.image(Launch.Output));
-            Launch.OptStats = Stats;
-            RemovedInsts += Stats.removedInsts();
-          }
-        }
-      }
-      InputRange Written;
-      Written.Lo = Intervals.Result.Lo;
-      Written.Hi = Intervals.Result.Hi;
-      Written.MayNaN = Intervals.Result.MayNaN;
-      PoolRanges[Launch.Output] = Written;
-    }
-    if (TraceRecorder::enabled())
-      TraceRecorder::global().addCounter("opt.removed_insts",
-                                         RemovedInsts);
-    Span.arg("opt_removed_insts", RemovedInsts);
+  std::vector<InputRange> Ranges(P.numImages());
+  double RemovedInsts = 0;
+  for (CompiledLaunch &Launch : Plan->Launches) {
+    Launch.Facts = threadLaunchIntervals(Launch, Ranges).Stages;
+    if (!RunOpt)
+      continue;
+    StagedVmProgram Optimized = Launch.Code;
+    uint16_t Root = Launch.Root;
+    VmOptStats Stats;
+    if (!optimizeStagedProgram(Optimized, Root, Launch.Facts, &Stats))
+      continue;
+    DiagnosticEngine OptDE;
+    validateStagedProgram(Optimized, Root, Plan->Shapes, OptDE);
+    if (OptDE.errorCount() != 0)
+      continue;
+    Launch.Code = std::move(Optimized);
+    Launch.Root = Root;
+    Launch.Halo =
+        fusedLaunchHalo(Launch.Code, Launch.Root, P.image(Launch.Output));
+    Launch.OptStats = Stats;
+    RemovedInsts += Stats.removedInsts();
   }
+  if (TraceRecorder::enabled())
+    TraceRecorder::global().addCounter("opt.removed_insts", RemovedInsts);
+  Span.arg("opt_removed_insts", RemovedInsts);
 
   // With validation green, compile the per-launch JIT artifacts (the
   // validator's invariants are the contract the JIT codegen trusts --
@@ -364,9 +392,7 @@ PipelineSession::PipelineSession(const FusedProgram &FPIn,
       Cache(CacheIn ? CacheIn : &globalPlanCache()),
       SharedPool(SharedPoolIn) {
   const Program &P = *FP->Source;
-  Shapes.reserve(P.numImages());
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    Shapes.push_back(P.image(Id));
+  Shapes = P.images();
   for (const FusedKernel &FK : FP->Kernels)
     for (KernelId Dest : FK.Destinations)
       Outputs.push_back(P.kernel(Dest).Output);
@@ -525,4 +551,12 @@ SessionStats PipelineSession::runFrames(int NumFrames,
   }
   releaseFrame(std::move(Current));
   return Stats;
+}
+
+void kf::runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
+                    const ExecutionOptions &Options) {
+  // A private one-entry cache: every call compiles its own plan.
+  PlanCache Cache(1);
+  PipelineSession Session(FP, Options, &Cache);
+  Session.runFrame(Pool);
 }

@@ -3,14 +3,15 @@
 /// \file
 /// The serving layer: a PipelineSession applies one fused program to a
 /// stream of frames, the shape of a realistic deployment (the same
-/// pipeline over millions of camera frames). Where runFusedVm pays
-/// bytecode compilation, scratch setup, thread-pool construction, and
-/// buffer allocation on every call, a session pays them once:
+/// pipeline over millions of camera frames). A fused program reaches the
+/// VM only as a CompiledPlan: the one-shot runFusedVm compiles one per
+/// call, while a session pays compilation, scratch setup, thread-pool
+/// construction, and buffer allocation once:
 ///
 ///   - CompiledPlan: the immutable compile-once artifact -- per-launch
-///     staged bytecode (compileFusedKernel), interior/halo split, and the
-///     pool allocation plan. Self-contained: executing a plan needs no
-///     Program or FusedProgram.
+///     gated bytecode (buildKernelLaunches), interior/halo split, JIT
+///     artifacts, and the pool allocation plan. Self-contained: executing
+///     a plan needs no Program or FusedProgram.
 ///   - PlanCache: an LRU cache of CompiledPlans keyed by the content hash
 ///     of the program IR (Program::structuralHash), the fused structure,
 ///     and the ExecutionOptions, with hit/miss/eviction counters. Runtime
@@ -22,15 +23,17 @@
 ///     frame i+1 on a filler thread while frame i executes on the
 ///     session's persistent ThreadPool.
 ///
-/// Results are bit-identical to a fresh runFusedVm / runFused call per
-/// frame at any thread count; tests/test_session.cpp asserts this
-/// differentially for every registry pipeline.
+/// Results are bit-identical to the runFused AST oracle at any thread
+/// count; tests/test_session.cpp asserts this differentially for every
+/// registry pipeline.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef KF_SIM_SESSION_H
 #define KF_SIM_SESSION_H
 
+#include "analysis/Diagnostics.h"
+#include "analysis/IntervalAnalysis.h"
 #include "ir/VmOptimizer.h"
 #include "sim/Executor.h"
 
@@ -113,10 +116,44 @@ struct CompiledPlan {
 /// options. Distinct partitions of one program never collide.
 uint64_t planKey(const FusedProgram &FP, const ExecutionOptions &Options);
 
-/// Compiles \p FP into an immutable plan (AST lowering to staged bytecode,
-/// interior/halo split, pool shapes) keyed for \p Options.
+/// Compiles \p FP into an immutable plan keyed for \p Options: launches
+/// built and gated by buildKernelLaunches (gate errors are fatal), the
+/// interval-fact-gated optimizer unless Options.Opt turns it off, JIT
+/// artifacts, pool shapes, and the Tuned strategy decision.
 std::shared_ptr<const CompiledPlan>
 compilePlan(const FusedProgram &FP, const ExecutionOptions &Options);
+
+/// The one launch builder of compilePlan, the lazy gate and kfc --analyze:
+/// per destination of \p FK in launch order, the staged bytecode, root
+/// stage and interior/halo split, each proved by analyzeLaunch (bytecode
+/// validator and footprint check) against \p Shapes into \p DE.
+std::vector<CompiledLaunch>
+buildKernelLaunches(const FusedProgram &FP, const FusedKernel &FK,
+                    const std::vector<ImageInfo> &Shapes,
+                    DiagnosticEngine &DE);
+
+/// Interval interpretation threaded launch by launch: interprets
+/// \p Launch over \p Ranges -- the ranges proven so far for the pool
+/// images, indexed by ImageId, with external inputs at the declared
+/// [0, 1] contract -- then records its result interval as the range of
+/// its output image for every later launch. KF-V diagnostics go to \p DE,
+/// against \p Loc, when it is given.
+IntervalAnalysisResult threadLaunchIntervals(const CompiledLaunch &Launch,
+                                             std::vector<InputRange> &Ranges,
+                                             DiagnosticEngine *DE = nullptr,
+                                             const DiagLocation &Loc = {});
+
+/// The fused-program gate of kfc --analyze and the lazy frontend: builds
+/// every kernel's launches (buildKernelLaunches) and interval-interprets
+/// them in launch order (threadLaunchIntervals). KF-V diagnostics are
+/// reported once per fused kernel, from its first launch, against unit
+/// \p Unit (the facts are root-independent). \p OnKernel, when given,
+/// sees each kernel with its first launch's interval result.
+void gateFusedProgram(
+    const FusedProgram &FP, DiagnosticEngine &DE, const std::string &Unit,
+    const std::function<void(const FusedKernel &,
+                             const IntervalAnalysisResult &)> &OnKernel =
+        nullptr);
 
 /// Hit/miss counters of a PlanCache.
 struct PlanCacheStats {
@@ -298,6 +335,16 @@ private:
 
   void ensureThreadPool();
 };
+
+/// Executes \p FP through the staged bytecode VM as a one-shot session:
+/// a PipelineSession over a private plan cache compiles the plan (gate,
+/// Options.Opt optimizer, JIT artifacts, Tuned resolution) and runs one
+/// frame in place on \p Pool, writing the destination outputs. Every call
+/// compiles, so a loop of calls measures cold execution. Bit-identical to
+/// runFused at any thread count. runFusedVm(unfusedProgram(P)) is the VM
+/// counterpart of runUnfused: one single-stage launch per kernel.
+void runFusedVm(const FusedProgram &FP, std::vector<Image> &Pool,
+                const ExecutionOptions &Options = ExecutionOptions());
 
 } // namespace kf
 

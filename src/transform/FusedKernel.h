@@ -82,6 +82,11 @@ struct FusedKernel {
   /// Stage holding kernel \p Id, or nullptr.
   const FusedStage *findStage(KernelId Id) const;
 
+  /// Index in Stages (and so in the compiled staged program) of the stage
+  /// holding kernel \p Id, which must be one of this kernel's stages: the
+  /// root stage of the launch computing destination \p Id.
+  uint16_t stageIndex(KernelId Id) const;
+
   /// True if \p Id is one of this kernel's destinations.
   bool isDestination(KernelId Id) const;
 

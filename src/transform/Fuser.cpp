@@ -32,6 +32,12 @@ const FusedStage *FusedKernel::findStage(KernelId Id) const {
   return nullptr;
 }
 
+uint16_t FusedKernel::stageIndex(KernelId Id) const {
+  const FusedStage *Stage = findStage(Id);
+  assert(Stage && "kernel is not a stage of this fused kernel");
+  return static_cast<uint16_t>(Stage - Stages.data());
+}
+
 bool FusedKernel::isDestination(KernelId Id) const {
   return std::find(Destinations.begin(), Destinations.end(), Id) !=
          Destinations.end();

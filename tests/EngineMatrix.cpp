@@ -128,14 +128,11 @@ void kf::test::expectMatrixMatchesOracle(
     Session.runFrame(Frame);
     expectDestinationsMatch(Frame, Config.label() + " session");
 
-    // The per-call driver compiles and runs unoptimized bytecode, so it
-    // belongs to the opt=off slice of the matrix.
-    if (Config.Opt == OptMode::Off) {
-      std::vector<Image> Pool = makeImagePool(P);
-      for (ImageId In : P.externalInputs())
-        Pool[In] = Inputs[In];
-      runFusedVm(FP, Pool, Options);
-      expectDestinationsMatch(Pool, Config.label() + " runFusedVm");
-    }
+    // The one-shot driver: a private session per call.
+    std::vector<Image> Pool = makeImagePool(P);
+    for (ImageId In : P.externalInputs())
+      Pool[In] = Inputs[In];
+    runFusedVm(FP, Pool, Options);
+    expectDestinationsMatch(Pool, Config.label() + " runFusedVm");
   }
 }

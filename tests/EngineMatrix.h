@@ -73,9 +73,8 @@ std::vector<Image> runOracle(const FusedProgram &FP,
 
 /// Runs \p FP on the external inputs of \p Inputs once per configuration
 /// of \p Configs, each through a fresh PipelineSession under
-/// Config.apply(\p Base) -- and, for the opt=off configurations, also
-/// through the per-call runFusedVm driver -- and expects every
-/// destination output to equal \p Oracle bit for bit.
+/// Config.apply(\p Base) and through the one-shot runFusedVm driver, and
+/// expects every destination output to equal \p Oracle bit for bit.
 void expectMatrixMatchesOracle(
     const FusedProgram &FP, const std::vector<Image> &Inputs,
     const std::vector<Image> &Oracle, const std::string &Tag,

@@ -320,14 +320,6 @@ TEST(ProgramLint, NonPositiveGranularityIsKFP12) {
 // Footprint / halo checker
 //===--------------------------------------------------------------------===//
 
-/// Shapes vector as compilePlan builds it.
-std::vector<ImageInfo> poolShapes(const Program &P) {
-  std::vector<ImageInfo> Shapes;
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    Shapes.push_back(P.image(Id));
-  return Shapes;
-}
-
 /// Fuses both blurs of makeBlurChain into one multi-stage kernel via an
 /// explicit partition (the mincut benefit model may legally decline this
 /// fusion, but test_fusion_legality proves the block itself is legal).
@@ -361,7 +353,7 @@ TEST(FootprintCheck, CompiledRegistryLaunchesVerifyClean) {
     FusedProgram FP =
         fuseProgram(P, runMinCutFusion(P, HardwareModel()).Blocks,
                     FusionStyle::Optimized);
-    std::vector<ImageInfo> Shapes = poolShapes(P);
+    std::vector<ImageInfo> Shapes = P.images();
     DiagnosticEngine DE;
     for (const FusedKernel &FK : FP.Kernels) {
       StagedVmProgram SP = compileFusedKernel(FP, FK);
@@ -386,7 +378,7 @@ TEST(FootprintCheck, UndersizedHaloIsKFF01) {
   ASSERT_GT(Halo, 0);
 
   DiagnosticEngine DE;
-  checkLaunchFootprint(P, FK, SP, Root, Halo - 1, poolShapes(P), DE);
+  checkLaunchFootprint(P, FK, SP, Root, Halo - 1, P.images(), DE);
   EXPECT_TRUE(DE.hasCode("KF-F01")) << DE.renderText();
 }
 
@@ -400,7 +392,7 @@ TEST(FootprintCheck, ShrunkReachMetadataIsKFF03) {
   SP.Reach[Root] = 0; // Claim the root reaches nothing.
 
   DiagnosticEngine DE;
-  checkLaunchFootprint(P, FK, SP, Root, /*Halo=*/8, poolShapes(P), DE);
+  checkLaunchFootprint(P, FK, SP, Root, /*Halo=*/8, P.images(), DE);
   EXPECT_TRUE(DE.hasCode("KF-F03")) << DE.renderText();
 }
 
@@ -414,7 +406,7 @@ TEST(FootprintCheck, DishonestUniformExtentsIsKFF04) {
 
   DiagnosticEngine DE;
   uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-  checkLaunchFootprint(P, FK, SP, Root, /*Halo=*/8, poolShapes(P), DE);
+  checkLaunchFootprint(P, FK, SP, Root, /*Halo=*/8, P.images(), DE);
   EXPECT_TRUE(DE.hasCode("KF-F04")) << DE.renderText();
 }
 
@@ -469,7 +461,7 @@ TEST(AnalyzeLaunch, RecordsTraceCounters) {
   StagedVmProgram SP = compileFusedKernel(FP, FK);
   uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
   DiagnosticEngine DE;
-  analyzeLaunch(P, FK, FK.Name, SP, Root, /*Halo=*/8, poolShapes(P), DE);
+  analyzeLaunch(P, FK, FK.Name, SP, Root, /*Halo=*/8, P.images(), DE);
   TraceRecorder::global().setEnabled(false);
 
   std::map<std::string, double> Counters = TraceRecorder::global().counters();

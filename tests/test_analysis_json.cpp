@@ -11,19 +11,17 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "analysis/BytecodeValidator.h"
-#include "analysis/FootprintCheck.h"
-#include "analysis/IntervalAnalysis.h"
+#include "SourceTree.h"
+
 #include "analysis/ProgramLint.h"
 #include "frontend/Parser.h"
 #include "fusion/MinCutPartitioner.h"
 #include "pipelines/Pipelines.h"
-#include "sim/Executor.h"
+#include "sim/Session.h"
 #include "transform/Fuser.h"
 
 #include <gtest/gtest.h>
 
-#include <fstream>
 #include <iterator>
 #include <set>
 #include <string>
@@ -58,18 +56,6 @@ const std::set<std::string> &severityEnum() {
   return Severities;
 }
 
-std::string fixtureDir() {
-  for (const char *Candidate :
-       {"fixtures/analysis/", "tests/fixtures/analysis/",
-        "../tests/fixtures/analysis/", "../../tests/fixtures/analysis/",
-        "../../../tests/fixtures/analysis/"}) {
-    std::ifstream Probe(std::string(Candidate) + "cyclic.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
-
 /// Extracts every value of a `"key": "value"` string field from
 /// rendered JSON.
 std::vector<std::string> stringField(const std::string &Json,
@@ -90,13 +76,12 @@ std::vector<std::string> stringField(const std::string &Json,
 
 /// Runs the full analysis stack of `kfc --analyze` over one leniently
 /// parsed fixture: lint, and -- when the program is structurally sound
-/// enough to fuse -- per-launch bytecode validation, footprint checks,
-/// and interval interpretation.
+/// enough to fuse -- the shared fused-program gate (per-launch bytecode
+/// validation, footprint checks, and interval interpretation).
 DiagnosticEngine analyzeFixture(const std::string &File) {
   DiagnosticEngine DE;
-  std::string Dir = fixtureDir();
-  EXPECT_FALSE(Dir.empty()) << "tests/fixtures/analysis not found";
-  ParseResult Parsed = parsePipelineFile(Dir + File, /*Verify=*/false);
+  ParseResult Parsed = parsePipelineFile(
+      test::sourcePath("tests/fixtures/analysis/" + File), /*Verify=*/false);
   if (!Parsed.Prog) {
     for (const std::string &Error : Parsed.Errors)
       DE.error("KF-P00", Error);
@@ -110,17 +95,7 @@ DiagnosticEngine analyzeFixture(const std::string &File) {
   MinCutFusionResult Result = runMinCutFusion(*Parsed.Prog, HW);
   FusedProgram FP =
       fuseProgram(*Parsed.Prog, Result.Blocks, FusionStyle::Optimized);
-  std::vector<ImageInfo> Shapes;
-  for (ImageId Id = 0; Id != Parsed.Prog->numImages(); ++Id)
-    Shapes.push_back(Parsed.Prog->image(Id));
-  for (const FusedKernel &FK : FP.Kernels) {
-    StagedVmProgram SP = compileFusedKernel(FP, FK);
-    uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-    validateStagedProgram(SP, Root, Shapes, DE);
-    DiagLocation Loc;
-    Loc.Kernel = FK.Name;
-    analyzeStagedIntervals(SP, Root, {}, &DE, Loc);
-  }
+  gateFusedProgram(FP, DE, "");
   return DE;
 }
 
@@ -241,27 +216,7 @@ TEST(AnalysisJson, ShippedExamplesAreIntervalClean) {
     MinCutFusionResult Result = runMinCutFusion(P, HW);
     FusedProgram FP = fuseProgram(P, Result.Blocks, FusionStyle::Optimized);
     DiagnosticEngine DE;
-    std::vector<InputRange> PoolRanges(P.numImages());
-    for (const FusedKernel &FK : FP.Kernels) {
-      StagedVmProgram SP = compileFusedKernel(FP, FK);
-      uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
-      DiagLocation Loc;
-      Loc.Kernel = FK.Name;
-      IntervalAnalysisResult Intervals =
-          analyzeStagedIntervals(SP, Root, PoolRanges, &DE, Loc);
-      for (KernelId DestId : FK.Destinations) {
-        uint16_t DestRoot = 0;
-        for (size_t I = 0; I != FK.Stages.size(); ++I)
-          if (FK.Stages[I].Kernel == DestId)
-            DestRoot = static_cast<uint16_t>(I);
-        const RegInterval &R = Intervals.Stages[DestRoot].Result;
-        InputRange Written;
-        Written.Lo = R.Lo;
-        Written.Hi = R.Hi;
-        Written.MayNaN = R.MayNaN;
-        PoolRanges[P.kernel(DestId).Output] = Written;
-      }
-    }
+    gateFusedProgram(FP, DE, "");
     EXPECT_EQ(DE.errorCount(), 0u) << Spec.Name << ":\n" << DE.renderText();
     EXPECT_EQ(DE.warningCount(), 0u) << Spec.Name << ":\n" << DE.renderText();
   }

@@ -36,8 +36,7 @@ CompiledPipeline compileSpec(const PipelineSpec &Spec) {
   CompiledPipeline C{Spec.Builder(64, 48), {}, {}, {}, {}};
   C.FP = fuseProgram(C.P, runMinCutFusion(C.P, HardwareModel()).Blocks,
                      FusionStyle::Optimized);
-  for (ImageId Id = 0; Id != C.P.numImages(); ++Id)
-    C.Shapes.push_back(C.P.image(Id));
+  C.Shapes = C.P.images();
   for (const FusedKernel &FK : C.FP.Kernels) {
     C.Programs.push_back(compileFusedKernel(C.FP, FK));
     C.Roots.push_back(

@@ -11,7 +11,7 @@
 #include "image/Generators.h"
 #include "ir/ExprVM.h"
 #include "pipelines/Pipelines.h"
-#include "sim/Executor.h"
+#include "sim/Session.h"
 #include "transform/Fuser.h"
 
 #include <gtest/gtest.h>

@@ -15,7 +15,7 @@
 #include "image/Compare.h"
 #include "image/Generators.h"
 #include "pipelines/Pipelines.h"
-#include "sim/Executor.h"
+#include "sim/Session.h"
 #include "support/ThreadPool.h"
 #include "transform/Fuser.h"
 

@@ -13,6 +13,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "SourceTree.h"
+
 #include "frontend/Parser.h"
 #include "frontend/Serializer.h"
 #include "pipelines/Pipelines.h"
@@ -26,19 +28,6 @@
 using namespace kf;
 
 namespace {
-
-/// Locates the repository's tests/golden directory relative to the test
-/// binary's working directory (ctest runs in build/tests).
-std::string goldenDir() {
-  for (const char *Candidate :
-       {"golden/", "tests/golden/", "../tests/golden/",
-        "../../tests/golden/", "../../../tests/golden/"}) {
-    std::ifstream Probe(std::string(Candidate) + "blur_chain_clamp.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
 
 std::string readFile(const std::string &Path) {
   std::ifstream In(Path, std::ios::binary);
@@ -65,11 +54,10 @@ const GoldenCase &goldenCase(int Index) {
 }
 
 TEST_P(GoldenKfp, SerializerMatchesFixtureByteForByte) {
-  std::string Dir = goldenDir();
-  ASSERT_FALSE(Dir.empty()) << "tests/golden not found from the test cwd";
   const GoldenCase &Case = goldenCase(GetParam());
 
-  std::string Golden = readFile(Dir + Case.File);
+  std::string Golden =
+      readFile(test::sourcePath(std::string("tests/golden/") + Case.File));
   ASSERT_FALSE(Golden.empty()) << Case.File;
 
   Program Built = Case.Builder();

@@ -1,13 +1,12 @@
 //===- tests/test_jit.cpp - JIT backend vs span-mode VM execution ---------------===//
 //
 // The JIT execution backend (VmMode::Jit, src/jit) compiles validated
-// fused bytecode into chains of width-specialized op cells and must be
-// bit-identical to the span interpreter on every bundled pipeline, at
-// every thread count, for every border mode, under both tiling
-// strategies, and across every tail width around the lane boundary. The
-// span mode is itself verified against the AST walker (test_vmspan.cpp,
-// test_fusedvm.cpp), so jit == span closes the chain back to the
-// semantic reference.
+// fused bytecode into chains of width-specialized op cells and must
+// reproduce the AST oracle bit for bit -- as the span interpreter does --
+// on every bundled pipeline, at every thread count, for every border
+// mode, under both tiling strategies and optimizer settings (the shared
+// harness of tests/EngineMatrix.h), and across every tail width around
+// the lane boundary.
 //
 // Also covers: the plan-time artifact (compilePlan populates
 // CompiledLaunch::Jit and Auto prefers it), KF_VM=jit resolution, and
@@ -17,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "EngineMatrix.h"
+#include "SourceTree.h"
 
 #include "frontend/Parser.h"
 #include "fusion/MinCutPartitioner.h"
@@ -60,13 +60,6 @@ TestApp makeTestApp(const std::string &Name) {
   return App;
 }
 
-std::vector<ImageInfo> poolShapes(const Program &P) {
-  std::vector<ImageInfo> Shapes;
-  for (ImageId Id = 0; Id != P.numImages(); ++Id)
-    Shapes.push_back(P.image(Id));
-  return Shapes;
-}
-
 /// Saves and clears KF_VM for a test body, restoring it on destruction:
 /// Auto-mode assertions must not depend on the ambient environment.
 struct ScopedClearKfVm {
@@ -86,9 +79,8 @@ struct ScopedClearKfVm {
   std::string Value;
 };
 
-/// JIT vs span differential across the bundled applications, fused with
-/// the paper's min-cut partition, at 1 / 3 / hardware threads, under
-/// both tiling strategies.
+/// JIT and span against the oracle across the bundled applications,
+/// fused with the paper's min-cut partition, over the whole engine matrix.
 class JitEquivalence : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(JitEquivalence, FusedJitMatchesSpanAcrossThreadsAndTiling) {
@@ -96,31 +88,12 @@ TEST_P(JitEquivalence, FusedJitMatchesSpanAcrossThreadsAndTiling) {
   Partition Blocks = runMinCutFusion(App.P, HardwareModel()).Blocks;
   FusedProgram FP = fuseProgram(App.P, Blocks, FusionStyle::Optimized);
 
-  for (TilingStrategy Tiling :
-       {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped}) {
-    for (int Threads : threadSweep()) {
-      ExecutionOptions Span;
-      Span.Threads = Threads;
-      Span.TileHeight = 3; // Force multiple tiles even on small images.
-      Span.Mode = VmMode::Span;
-      Span.Tiling = Tiling;
-      ExecutionOptions Jit = Span;
-      Jit.Mode = VmMode::Jit;
-
-      std::vector<Image> SpanPool = makeImagePool(App.P);
-      SpanPool[0] = App.Input;
-      runFusedVm(FP, SpanPool, Span);
-
-      std::vector<Image> JitPool = makeImagePool(App.P);
-      JitPool[0] = App.Input;
-      runFusedVm(FP, JitPool, Jit);
-
-      expectPoolsIdentical(
-          App.P, JitPool, SpanPool,
-          GetParam() + " tiling=" + tilingStrategyName(Tiling) +
-              " threads=" + std::to_string(Threads));
-    }
-  }
+  std::vector<Image> Inputs = makeImagePool(App.P);
+  Inputs[0] = App.Input;
+  ExecutionOptions Base;
+  Base.TileHeight = 3; // Force multiple tiles even on small images.
+  expectMatrixMatchesOracle(FP, Inputs, runOracle(FP, Inputs, Base),
+                            GetParam(), Base);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPipelines, JitEquivalence,
@@ -129,9 +102,9 @@ INSTANTIATE_TEST_SUITE_P(AllPipelines, JitEquivalence,
                                            "night"),
                          [](const auto &Info) { return Info.param; });
 
-/// Border-mode sweep: jit and span must agree for every border mode,
-/// with and without the index exchange (the halo path is shared, but the
-/// interior/halo split depends on the reach, so sweep both).
+/// Border-mode sweep: jit and span must match the oracle for every border
+/// mode, with and without the index exchange (the halo path is shared,
+/// but the interior/halo split depends on the reach, so sweep both).
 class JitBorder : public ::testing::TestWithParam<BorderMode> {};
 
 TEST_P(JitBorder, BlurChainJitMatchesSpan) {
@@ -139,28 +112,19 @@ TEST_P(JitBorder, BlurChainJitMatchesSpan) {
   int W = VmLaneWidth + 19, H = 14;
   Program P = makeBlurChain(W, H, Mode);
   Rng Gen(4242);
-  Image Input = makeRandomImage(W, H, 1, Gen);
+  std::vector<Image> Inputs = makeImagePool(P);
+  Inputs[0] = makeRandomImage(W, H, 1, Gen);
   FusedProgram FP =
       fuseProgram(P, wholeProgramPartition(P), FusionStyle::Optimized);
 
   for (bool Exchange : {true, false}) {
-    ExecutionOptions Span;
-    Span.UseIndexExchange = Exchange;
-    Span.Mode = VmMode::Span;
-    ExecutionOptions Jit = Span;
-    Jit.Mode = VmMode::Jit;
-
-    std::vector<Image> SpanPool = makeImagePool(P);
-    SpanPool[0] = Input;
-    runFusedVm(FP, SpanPool, Span);
-
-    std::vector<Image> JitPool = makeImagePool(P);
-    JitPool[0] = Input;
-    runFusedVm(FP, JitPool, Jit);
-
-    EXPECT_DOUBLE_EQ(maxAbsDifference(JitPool[2], SpanPool[2]), 0.0)
-        << borderModeName(Mode)
-        << (Exchange ? " (index exchange)" : " (naive)");
+    ExecutionOptions Base;
+    Base.UseIndexExchange = Exchange;
+    expectMatrixMatchesOracle(
+        FP, Inputs, runOracle(FP, Inputs, Base),
+        std::string(borderModeName(Mode)) +
+            (Exchange ? " (index exchange)" : " (naive)"),
+        Base);
   }
 }
 
@@ -185,7 +149,7 @@ TEST(JitVm, TailWidthsMatchPerPixel) {
   uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
 
   std::shared_ptr<const JitProgram> JP =
-      compileJitProgram(SP, Root, poolShapes(P));
+      compileJitProgram(SP, Root, P.images());
   ASSERT_NE(JP, nullptr);
   EXPECT_EQ(JP->NumRegs, SP.NumRegs);
 
@@ -223,7 +187,7 @@ TEST(JitVm, StridedOutputMatchesDense) {
   uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
 
   std::shared_ptr<const JitProgram> JP =
-      compileJitProgram(SP, Root, poolShapes(P));
+      compileJitProgram(SP, Root, P.images());
   ASSERT_NE(JP, nullptr);
 
   std::vector<Image> Pool = makeImagePool(P);
@@ -265,7 +229,7 @@ TEST(JitVm, PristineRegistryProgramsCompile) {
       StagedVmProgram SP = compileFusedKernel(FP, FK);
       uint16_t Root = static_cast<uint16_t>(SP.Stages.size() - 1);
       std::shared_ptr<const JitProgram> JP =
-          compileJitProgram(SP, Root, poolShapes(P));
+          compileJitProgram(SP, Root, P.images());
       ASSERT_NE(JP, nullptr) << Spec.Name << " " << FK.Name;
       EXPECT_GT(JP->FlatInsts, 0u) << Spec.Name << " " << FK.Name;
       // Both chains carry one cell per flattened instruction plus the
@@ -324,7 +288,7 @@ TEST(JitVm, AutoLaunchRunsJitAndOverlappedDegradesToSpan) {
   int Halo = fusedLaunchHalo(SP, Root, Info);
 
   std::shared_ptr<const JitProgram> JP =
-      compileJitProgram(SP, Root, poolShapes(P));
+      compileJitProgram(SP, Root, P.images());
   ASSERT_NE(JP, nullptr);
 
   std::vector<Image> Pool = makeImagePool(P);
@@ -376,7 +340,7 @@ TEST(JitVm, AutoLaunchRunsJitAndOverlappedDegradesToSpan) {
 /// The plan-time artifact: compilePlan populates CompiledLaunch::Jit for
 /// every launch of every registry pipeline, the cached plan shares it,
 /// and a session's frames (which prefer it under Auto) stay bit-identical
-/// to the span interpreter.
+/// to the AST oracle.
 TEST(JitSession, PlansCarryJitArtifactsAndFramesMatchSpan) {
   ScopedClearKfVm Clear;
 
@@ -405,29 +369,12 @@ TEST(JitSession, PlansCarryJitArtifactsAndFramesMatchSpan) {
     Frame[0] = App.Input;
     Session.runFrame(Frame);
 
-    ExecutionOptions Span;
-    Span.Mode = VmMode::Span;
-    std::vector<Image> SpanPool = makeImagePool(App.P);
-    SpanPool[0] = App.Input;
-    runFusedVm(FP, SpanPool, Span);
-
-    expectPoolsIdentical(App.P, Frame, SpanPool,
+    std::vector<Image> Inputs = makeImagePool(App.P);
+    Inputs[0] = App.Input;
+    expectPoolsIdentical(App.P, Frame, runOracle(FP, Inputs),
                          Spec.Name + std::string(" session-jit"));
     Session.releaseFrame(std::move(Frame));
   }
-}
-
-/// Locates the repository's examples/pipelines directory relative to the
-/// test binary's working directory (ctest runs in build/tests).
-std::string pipelinesDir() {
-  for (const char *Candidate :
-       {"examples/pipelines/", "../examples/pipelines/",
-        "../../examples/pipelines/", "../../../examples/pipelines/"}) {
-    std::ifstream Probe(std::string(Candidate) + "harris.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
 }
 
 /// Rewrites every `image <name> W H [C]` declaration of a .kfp source to
@@ -458,16 +405,13 @@ std::string rescaleKfpImages(const std::string &Source, int W, int H) {
 }
 
 /// Golden-fixture differential: every shipped .kfp pipeline, parsed from
-/// disk (not rebuilt from the C++ builders), must run bit-identically
-/// under the JIT and the span interpreter.
+/// disk (not rebuilt from the C++ builders), must match the oracle bit
+/// for bit across the engine matrix.
 class JitGoldenKfp : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(JitGoldenKfp, ShippedPipelineJitMatchesSpan) {
-  std::string Dir = pipelinesDir();
-  if (Dir.empty())
-    GTEST_SKIP() << "examples/pipelines not found from the test cwd";
-
-  std::ifstream File(Dir + GetParam() + ".kfp");
+  std::ifstream File(
+      test::sourcePath("examples/pipelines/" + GetParam() + ".kfp"));
   ASSERT_TRUE(File.good()) << GetParam();
   std::stringstream Buffer;
   Buffer << File.rdbuf();
@@ -483,22 +427,11 @@ TEST_P(JitGoldenKfp, ShippedPipelineJitMatchesSpan) {
 
   const ImageInfo &InInfo = P.image(0);
   Rng Gen(20260807);
-  Image Input =
+  std::vector<Image> Inputs = makeImagePool(P);
+  Inputs[0] =
       makeRandomImage(InInfo.Width, InInfo.Height, InInfo.Channels, Gen);
-
-  ExecutionOptions Span;
-  Span.Mode = VmMode::Span;
-  std::vector<Image> SpanPool = makeImagePool(P);
-  SpanPool[0] = Input;
-  runFusedVm(FP, SpanPool, Span);
-
-  ExecutionOptions Jit = Span;
-  Jit.Mode = VmMode::Jit;
-  std::vector<Image> JitPool = makeImagePool(P);
-  JitPool[0] = Input;
-  runFusedVm(FP, JitPool, Jit);
-
-  expectPoolsIdentical(P, JitPool, SpanPool, GetParam() + ".kfp");
+  expectMatrixMatchesOracle(FP, Inputs, runOracle(FP, Inputs),
+                            GetParam() + ".kfp");
 }
 
 INSTANTIATE_TEST_SUITE_P(PaperApps, JitGoldenKfp,

@@ -13,6 +13,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "EngineMatrix.h"
+#include "SourceTree.h"
 
 #include "frontend/Lazy.h"
 #include "frontend/LazyScript.h"
@@ -28,7 +29,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 using namespace kf;
@@ -98,19 +98,6 @@ std::string renderIssues(const std::vector<LazyIssue> &Issues) {
   for (const LazyIssue &I : Issues)
     Out << I.Code << " (" << I.Where << "): " << I.Message << "\n";
   return Out.str();
-}
-
-/// Locates the shipped lazy-script example from the test working
-/// directory (build tree or repo root); "" when absent.
-std::string harrisScriptPath() {
-  for (const char *Candidate :
-       {"examples/lazy/harris.lz", "../examples/lazy/harris.lz",
-        "../../examples/lazy/harris.lz", "../../../examples/lazy/harris.lz"}) {
-    std::ifstream Probe(Candidate);
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
 }
 
 //===--------------------------------------------------------------------===//
@@ -409,11 +396,8 @@ TEST(LazyScript, AllLiteralOperandsAreRejectedAtParse) {
 }
 
 TEST(LazyScript, ShippedHarrisScriptMatchesTheHandleApi) {
-  std::string Path = harrisScriptPath();
-  if (Path.empty())
-    GTEST_SKIP() << "examples/lazy/harris.lz not reachable from cwd";
-
-  LazyScriptResult R = parseLazyScriptFile(Path);
+  LazyScriptResult R =
+      parseLazyScriptFile(test::sourcePath("examples/lazy/harris.lz"));
   ASSERT_TRUE(R.ok()) << renderIssues(R.Errors);
   EXPECT_EQ(R.Pipeline->numOps(), 16u);
   ASSERT_EQ(R.OutputNodes.size(), 1u);

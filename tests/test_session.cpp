@@ -1,9 +1,10 @@
 //===- tests/test_session.cpp - Streaming session differential harness ----------===//
 //
 // The serving layer must be invisible in the results: a session's cached
-// warm-run output has to be bit-identical to a fresh runFusedVm call and
-// to the runFused AST reference, for every registry pipeline, across
-// border modes and thread counts. Alongside the differential harness this
+// warm-run output has to be bit-identical to the runFused AST reference,
+// for every registry pipeline, across border modes and thread counts --
+// and so must every configuration of the engine matrix
+// (tests/EngineMatrix.h), through fresh sessions and runFusedVm. Alongside the differential harness this
 // file unit-tests the plan cache (LRU, hit/miss counters), the frame
 // pool's buffer recycling, and the structural/options hashing that keys
 // the cache.
@@ -43,8 +44,9 @@ void fillInputs(const Program &P, std::vector<Image> &Pool, uint64_t Seed) {
 }
 
 /// Runs the full differential check for one program: the session's warm
-/// (second) frame must be bit-identical to fresh runFusedVm and runFused
-/// references at every swept thread count.
+/// (second) frame must be bit-identical to the runFused AST reference at
+/// every swept thread count under default options, and so must every
+/// engine-matrix configuration.
 void expectSessionMatchesReferences(const Program &P,
                                     const std::string &Label) {
   HardwareModel HW;
@@ -52,18 +54,13 @@ void expectSessionMatchesReferences(const Program &P,
   FusedProgram FP = fuseProgram(P, MinCut.Blocks, FusionStyle::Optimized);
 
   // AST reference (the semantic ground truth).
-  std::vector<Image> AstPool = makeImagePool(P);
-  fillInputs(P, AstPool, 0x5e55);
-  runFused(FP, AstPool);
+  std::vector<Image> Inputs = makeImagePool(P);
+  fillInputs(P, Inputs, 0x5e55);
+  std::vector<Image> AstPool = kf::test::runOracle(FP, Inputs);
 
   for (int Threads : threadSweep()) {
     ExecutionOptions Options;
     Options.Threads = Threads;
-
-    // Fresh per-call fused VM reference.
-    std::vector<Image> VmPool = makeImagePool(P);
-    fillInputs(P, VmPool, 0x5e55);
-    runFusedVm(FP, VmPool, Options);
 
     // Session: two frames with identical input; keep the warm frame.
     PlanCache Cache;
@@ -86,14 +83,13 @@ void expectSessionMatchesReferences(const Program &P,
     for (const FusedKernel &FK : FP.Kernels)
       for (KernelId Dest : FK.Destinations) {
         ImageId Out = P.kernel(Dest).Output;
-        EXPECT_DOUBLE_EQ(maxAbsDifference(Warm[Out], VmPool[Out]), 0.0)
-            << Label << " vs fresh runFusedVm, threads=" << Threads
-            << ", output " << P.image(Out).Name;
         EXPECT_DOUBLE_EQ(maxAbsDifference(Warm[Out], AstPool[Out]), 0.0)
             << Label << " vs runFused AST, threads=" << Threads
             << ", output " << P.image(Out).Name;
       }
   }
+
+  kf::test::expectMatrixMatchesOracle(FP, Inputs, AstPool, Label);
 }
 
 //===--------------------------------------------------------------------===//
@@ -191,9 +187,9 @@ TEST(SessionFrames, ManualFrameLoopMatchesStreaming) {
   fillInputs(P, Frame, 99);
   Session.runFrame(Frame);
 
-  std::vector<Image> Reference = makeImagePool(P);
-  fillInputs(P, Reference, 99);
-  runFusedVm(FP, Reference, ExecutionOptions());
+  std::vector<Image> Inputs = makeImagePool(P);
+  fillInputs(P, Inputs, 99);
+  std::vector<Image> Reference = kf::test::runOracle(FP, Inputs);
   for (ImageId Out : P.terminalOutputs())
     EXPECT_DOUBLE_EQ(maxAbsDifference(Frame[Out], Reference[Out]), 0.0);
   Session.releaseFrame(std::move(Frame));

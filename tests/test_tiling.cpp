@@ -9,8 +9,8 @@
 // for every tile geometry -- including degenerate ones (tile larger than
 // the image, 1x1 and 1xN images, tiles the reach exceeds).
 //
-// Also covers: KF_TILING / KF_TILE environment resolution, the tile-spec
-// parser, the overlap schedule's margin arithmetic, the per-strategy cost
+// Also covers: KF_TILING environment resolution, tile-size resolution,
+// the tile-spec parser, the overlap schedule's margin arithmetic, the per-strategy cost
 // model, the execution autotuner (determinism, trace spans, metrics
 // decision records), the tuned session plan, and the KF-F06 overlap
 // coverage check.
@@ -264,11 +264,7 @@ TEST(TilingResolve, ParseTileSpecAcceptsOnlyWellFormedRanges) {
   EXPECT_EQ(H, -1);
 }
 
-TEST(TilingResolve, ResolveTileSizeExplicitEnvAndDefaults) {
-  const char *Saved = std::getenv("KF_TILE");
-  std::string SavedCopy = Saved ? Saved : "";
-  ::unsetenv("KF_TILE");
-
+TEST(TilingResolve, ResolveTileSizeExplicitWinsOverDefaults) {
   int W = 0, H = 0;
   ExecutionOptions Options;
 
@@ -284,34 +280,26 @@ TEST(TilingResolve, ResolveTileSizeExplicitEnvAndDefaults) {
   EXPECT_EQ(W, 20); // Clamped to the image.
   EXPECT_EQ(H, 10);
 
-  // Explicit options always win.
+  // An explicit tile wins over either strategy's default...
   Options.TileWidth = 48;
   Options.TileHeight = 12;
-  ::setenv("KF_TILE", "64x64", 1);
+  for (TilingStrategy Strategy :
+       {TilingStrategy::InteriorHalo, TilingStrategy::Overlapped}) {
+    resolveTileSize(Options, Strategy, 640, 480, 2, W, H);
+    EXPECT_EQ(W, 48) << tilingStrategyName(Strategy);
+    EXPECT_EQ(H, 12) << tilingStrategyName(Strategy);
+  }
+  // ...one extent at a time, the other keeping its default...
+  Options.TileHeight = 0;
   resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
   EXPECT_EQ(W, 48);
-  EXPECT_EQ(H, 12);
-
-  // The environment fills in when the caller left the tile unset.
-  Options.TileWidth = Options.TileHeight = 0;
-  resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
-  EXPECT_EQ(W, 64);
-  EXPECT_EQ(H, 64);
-
-  // Malformed environment values are ignored (strategy default applies).
-  ::setenv("KF_TILE", "64by64", 1);
-  resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
-  EXPECT_EQ(W, 128);
   EXPECT_EQ(H, 32);
-  ::setenv("KF_TILE", "0x7", 1);
+  // ...and is still clamped to the image.
+  Options.TileWidth = 4096;
+  Options.TileHeight = 4096;
   resolveTileSize(Options, TilingStrategy::Overlapped, 640, 480, 2, W, H);
-  EXPECT_EQ(W, 128);
-  EXPECT_EQ(H, 32);
-
-  if (Saved)
-    ::setenv("KF_TILE", SavedCopy.c_str(), 1);
-  else
-    ::unsetenv("KF_TILE");
+  EXPECT_EQ(W, 640);
+  EXPECT_EQ(H, 480);
 }
 
 /// End-to-end: KF_TILING=overlapped must produce bit-identical results
@@ -379,10 +367,7 @@ TEST(OverlapSchedule, MarginPlusLoadHaloStaysWithinReach) {
       if (!SP.UniformExtents)
         continue;
       for (KernelId DestId : FK.Destinations) {
-        uint16_t Root = 0;
-        for (size_t I = 0; I != FK.Stages.size(); ++I)
-          if (FK.Stages[I].Kernel == DestId)
-            Root = static_cast<uint16_t>(I);
+        uint16_t Root = FK.stageIndex(DestId);
         const ImageInfo &Info = P.image(P.kernel(DestId).Output);
         OverlapSchedule Schedule =
             buildOverlapSchedule(SP, Root, Info.Channels);

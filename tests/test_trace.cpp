@@ -304,6 +304,39 @@ TEST_F(TraceTest, JitSessionBooksLaunchesAsJit) {
   EXPECT_EQ(LaunchSpans, FP.numLaunches());
 }
 
+/// The AST oracle's per-kernel spans are "reference <kernel>" rows in
+/// their own category: a traced run that checks a session frame against
+/// runUnfused counts exactly the plan's launches as "launch" spans.
+TEST_F(TraceTest, ReferenceRunStaysOutOfLaunchSpans) {
+  TraceRecorder::global().setEnabled(true);
+
+  Program P = makeSobel(24, 20);
+  FusedProgram FP = wholeProgramFused(P);
+  std::vector<Image> Reference = seededPool(P, 11);
+  ExecutionOptions Options;
+  Options.Threads = 1;
+  runUnfused(P, Reference, Options);
+
+  PlanCache Cache;
+  PipelineSession Session(FP, Options, &Cache);
+  std::vector<Image> Frame = Session.acquireFrame();
+  for (ImageId In : P.externalInputs())
+    Frame[In] = Reference[In];
+  Session.runFrame(Frame);
+
+  unsigned LaunchSpans = 0, ReferenceSpans = 0;
+  for (const TraceSpanRecord &Span : TraceRecorder::global().spans()) {
+    if (Span.Name.rfind("launch ", 0) == 0)
+      ++LaunchSpans;
+    if (Span.Category == "reference") {
+      ++ReferenceSpans;
+      EXPECT_EQ(Span.Name.rfind("reference ", 0), 0u) << Span.Name;
+    }
+  }
+  EXPECT_EQ(LaunchSpans, Session.plan()->Launches.size());
+  EXPECT_EQ(ReferenceSpans, P.numKernels());
+}
+
 TEST_F(TraceTest, DisabledExecutionRecordsNothing) {
   Program P = makeSobel(16, 16);
   FusedProgram FP = wholeProgramFused(P);

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "EngineMatrix.h"
+#include "SourceTree.h"
 
 #include "analysis/BytecodeValidator.h"
 #include "analysis/IntervalAnalysis.h"
@@ -30,7 +31,6 @@
 #include <cmath>
 #include <memory>
 #include <cstdlib>
-#include <fstream>
 #include <functional>
 
 using namespace kf;
@@ -277,27 +277,12 @@ TEST(OptMode, KfOptOffDisablesTheRewriteUnderAuto) {
 // Stats on known-reducible programs
 //===--------------------------------------------------------------------===//
 
-/// Locates tests/fixtures/analysis relative to the test binary's working
-/// directory (ctest runs in build/tests).
-std::string fixtureDir() {
-  for (const char *Candidate :
-       {"fixtures/analysis/", "tests/fixtures/analysis/",
-        "../tests/fixtures/analysis/", "../../tests/fixtures/analysis/",
-        "../../../tests/fixtures/analysis/"}) {
-    std::ifstream Probe(std::string(Candidate) + "noop_clamp.kfp");
-    if (Probe.good())
-      return Candidate;
-  }
-  return "";
-}
-
 /// Compiles a fixture pipeline into an Opt=On plan.
 std::shared_ptr<const CompiledPlan> planForFixture(const std::string &File,
                                                    FusedProgram &FP,
                                                    ParseResult &Parsed) {
-  std::string Dir = fixtureDir();
-  EXPECT_FALSE(Dir.empty()) << "tests/fixtures/analysis not found";
-  Parsed = parsePipelineFile(Dir + File);
+  Parsed =
+      parsePipelineFile(test::sourcePath("tests/fixtures/analysis/" + File));
   EXPECT_TRUE(Parsed.Prog != nullptr)
       << (Parsed.Errors.empty() ? "" : Parsed.Errors.front());
   if (!Parsed.Prog)
@@ -396,9 +381,9 @@ TEST(JitRefusal, NonFiniteConstIsKfB09AndJitRefuses) {
   EXPECT_EQ(DE.errorCount(), 0u) << DE.renderText();
   EXPECT_EQ(compileJitProgram(Mutated, Root, Plan->Shapes), nullptr);
 
-  // The refused launch still runs -- a Jit request falls back to the
-  // span interpreter, bit-identical to per-pixel bordered evaluation of
-  // the mutated program.
+  // The refused launch still runs -- a Jit request carrying the null
+  // artifact runs the span interpreter (the executor compiles nothing),
+  // bit-identical to per-pixel bordered evaluation of the mutated program.
   std::vector<Image> Pool(Plan->Shapes.size());
   fillInputs(*Plan, Pool, 1234);
   for (size_t I = 0; I != Pool.size(); ++I)

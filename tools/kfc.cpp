@@ -103,8 +103,7 @@ static void printUsage() {
       "                               default; off executes bytecode as\n"
       "                               compiled -- results are identical)\n"
       "  --tile <WxH>                 tile extents for --run, e.g. 128x32\n"
-      "                               (default per strategy; KF_TILE\n"
-      "                               overrides the default)\n"
+      "                               (default per strategy)\n"
       "  --frames <n>                 with --run: stream n frames through a\n"
       "                               pipeline session (compiled-plan cache\n"
       "                               + frame buffer reuse)\n"
@@ -465,48 +464,15 @@ int main(int Argc, char **Argv) {
     // compile each fused launch exactly as the session would and prove
     // its bytecode and interior/halo split sound.
     checkFusedLegality(FP, HW, Options, DE);
-    std::vector<ImageInfo> Shapes;
-    Shapes.reserve(P.numImages());
-    for (ImageId Id = 0; Id != P.numImages(); ++Id)
-      Shapes.push_back(P.image(Id));
-    // Interval interpretation runs per fused kernel (the facts are
-    // root-independent); each destination's result interval seeds the
-    // load ranges of every later kernel that reads it, mirroring the
-    // session compile. External inputs carry the [0, 1] contract.
-    std::vector<InputRange> PoolRanges(P.numImages());
-    for (const FusedKernel &FK : FP.Kernels) {
-      StagedVmProgram SP = compileFusedKernel(FP, FK);
-      uint16_t FirstRoot = 0;
-      std::vector<std::pair<KernelId, uint16_t>> Dests;
-      for (KernelId DestId : FK.Destinations) {
-        uint16_t Root = 0;
-        for (size_t I = 0; I != FK.Stages.size(); ++I)
-          if (FK.Stages[I].Kernel == DestId)
-            Root = static_cast<uint16_t>(I);
-        if (Dests.empty())
-          FirstRoot = Root;
-        Dests.emplace_back(DestId, Root);
-        int Halo = fusedLaunchHalo(SP, Root, P.image(P.kernel(DestId).Output));
-        analyzeLaunch(P, FK, FK.Name, SP, Root, Halo, Shapes, DE);
-      }
-      DiagLocation Loc;
-      Loc.Kernel = FK.Name;
-      IntervalAnalysisResult Intervals =
-          analyzeStagedIntervals(SP, FirstRoot, PoolRanges, &DE, Loc);
-      std::printf("intervals for %s:\n", FK.Name.c_str());
-      for (size_t I = 0; I != SP.Stages.size(); ++I)
-        std::printf("  stage %zu (%s): %s\n", I,
-                    P.kernel(FK.Stages[I].Kernel).Name.c_str(),
-                    formatInterval(Intervals.Stages[I].Result).c_str());
-      for (const auto &Dest : Dests) {
-        const RegInterval &R = Intervals.Stages[Dest.second].Result;
-        InputRange Written;
-        Written.Lo = R.Lo;
-        Written.Hi = R.Hi;
-        Written.MayNaN = R.MayNaN;
-        PoolRanges[P.kernel(Dest.first).Output] = Written;
-      }
-    }
+    gateFusedProgram(
+        FP, DE, "",
+        [&](const FusedKernel &FK, const IntervalAnalysisResult &Intervals) {
+          std::printf("intervals for %s:\n", FK.Name.c_str());
+          for (size_t I = 0; I != FK.Stages.size(); ++I)
+            std::printf("  stage %zu (%s): %s\n", I,
+                        P.kernel(FK.Stages[I].Kernel).Name.c_str(),
+                        formatInterval(Intervals.Stages[I].Result).c_str());
+        });
     return finishAnalysis();
   }
 
@@ -545,6 +511,21 @@ int main(int Argc, char **Argv) {
 
     int Frames = static_cast<int>(Cl.getIntOption("frames", 0));
     int Repeat = std::max(1, static_cast<int>(Cl.getIntOption("repeat", 1)));
+
+    // Deterministic random fill of every external input, seeded per
+    // (session, frame): the server run and its serial probe see the same
+    // frames, and session 0 frame 0 is the single --run frame.
+    auto FillFor = [&P](int SessionIdx) {
+      return [&P, SessionIdx](int FrameIdx, std::vector<Image> &Pool) {
+        Rng Gen(2026 + static_cast<uint64_t>(SessionIdx) * 131071 +
+                static_cast<uint64_t>(FrameIdx) * 977);
+        for (ImageId Id : P.externalInputs()) {
+          const ImageInfo &Info = P.image(Id);
+          Pool[Id] =
+              makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
+        }
+      };
+    };
 
     if (Cl.hasOption("serve")) {
       // Server mode: N concurrent client sessions of this pipeline,
@@ -593,20 +574,6 @@ int main(int Argc, char **Argv) {
       std::vector<int> PerSession(Sessions, 0);
       for (int S : Schedule)
         ++PerSession[S];
-
-      // The same (session, frame) seed drives the server run and the
-      // serial probe, so the outputs must be bit-identical.
-      auto FillFor = [&P](int SessionIdx) {
-        return [&P, SessionIdx](int FrameIdx, std::vector<Image> &Pool) {
-          Rng Gen(2026 + static_cast<uint64_t>(SessionIdx) * 131071 +
-                  static_cast<uint64_t>(FrameIdx) * 977);
-          for (ImageId Id : P.externalInputs()) {
-            const ImageInfo &Info = P.image(Id);
-            Pool[Id] = makeRandomImage(Info.Width, Info.Height,
-                                       Info.Channels, Gen);
-          }
-        };
-      };
 
       std::vector<ImageId> Outputs;
       for (const FusedKernel &FK : FP.Kernels)
@@ -705,14 +672,7 @@ int main(int Argc, char **Argv) {
     if (Frames > 0) {
       // Session streaming mode: compile the fused plan once, stream
       // frames through recycled buffers with double-buffered input fill.
-      auto FillFrame = [&](int Frame, std::vector<Image> &Pool) {
-        Rng Gen(2026 + static_cast<uint64_t>(Frame) * 977);
-        for (ImageId Id : P.externalInputs()) {
-          const ImageInfo &Info = P.image(Id);
-          Pool[Id] =
-              makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
-        }
-      };
+      auto FillFrame = FillFor(0);
 
       // Unfused AST reference for the stream's final frame.
       std::vector<Image> Reference = makeImagePool(P);
@@ -770,19 +730,8 @@ int main(int Argc, char **Argv) {
       return 0;
     }
 
-    // Deterministic random fill of every external input (images no
-    // kernel produces), so runs are reproducible across invocations.
-    std::vector<bool> Produced(P.numImages());
-    for (KernelId Id = 0; Id != P.numKernels(); ++Id)
-      Produced[P.kernel(Id).Output] = true;
     std::vector<Image> Reference = makeImagePool(P);
-    Rng Gen(2026);
-    for (ImageId Id = 0; Id != P.numImages(); ++Id)
-      if (!Produced[Id]) {
-        const ImageInfo &Info = P.image(Id);
-        Reference[Id] =
-            makeRandomImage(Info.Width, Info.Height, Info.Channels, Gen);
-      }
+    FillFor(0)(0, Reference);
     std::vector<Image> VmPool = Reference;
 
     auto WallMs = [](auto &&Fn) {
