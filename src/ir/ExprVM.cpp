@@ -3,6 +3,7 @@
 #include "ir/ExprVM.h"
 
 #include "image/Border.h"
+#include "ir/LaneOps.h"
 #include "support/Error.h"
 
 #include <algorithm>
@@ -334,71 +335,27 @@ private:
   unsigned NextReg = 0;
 };
 
+} // namespace
+
+namespace {
+
 /// Evaluates one non-load, non-call instruction into \p Regs: the ALU
-/// half of the per-pixel bordered evaluator.
+/// half of the per-pixel bordered evaluator (the width-1 lane kernels).
 inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
-  switch (Inst.Op) {
-  case VmOp::Const:
-    Regs[Inst.Dst] = Inst.Imm;
-    break;
-  case VmOp::CoordX:
-    Regs[Inst.Dst] = static_cast<float>(X);
-    break;
-  case VmOp::CoordY:
-    Regs[Inst.Dst] = static_cast<float>(Y);
-    break;
-  case VmOp::Add:
-    Regs[Inst.Dst] = Regs[Inst.A] + Regs[Inst.B];
-    break;
-  case VmOp::Sub:
-    Regs[Inst.Dst] = Regs[Inst.A] - Regs[Inst.B];
-    break;
-  case VmOp::Mul:
-    Regs[Inst.Dst] = Regs[Inst.A] * Regs[Inst.B];
-    break;
-  case VmOp::Div:
-    Regs[Inst.Dst] = Regs[Inst.A] / Regs[Inst.B];
-    break;
-  case VmOp::Min:
-    Regs[Inst.Dst] = std::min(Regs[Inst.A], Regs[Inst.B]);
-    break;
-  case VmOp::Max:
-    Regs[Inst.Dst] = std::max(Regs[Inst.A], Regs[Inst.B]);
-    break;
-  case VmOp::Pow:
-    Regs[Inst.Dst] = std::pow(Regs[Inst.A], Regs[Inst.B]);
-    break;
-  case VmOp::CmpLT:
-    Regs[Inst.Dst] = Regs[Inst.A] < Regs[Inst.B] ? 1.0f : 0.0f;
-    break;
-  case VmOp::CmpGT:
-    Regs[Inst.Dst] = Regs[Inst.A] > Regs[Inst.B] ? 1.0f : 0.0f;
-    break;
-  case VmOp::Neg:
-    Regs[Inst.Dst] = -Regs[Inst.A];
-    break;
-  case VmOp::Abs:
-    Regs[Inst.Dst] = std::abs(Regs[Inst.A]);
-    break;
-  case VmOp::Sqrt:
-    Regs[Inst.Dst] = std::sqrt(Regs[Inst.A]);
-    break;
-  case VmOp::Exp:
-    Regs[Inst.Dst] = std::exp(Regs[Inst.A]);
-    break;
-  case VmOp::Log:
-    Regs[Inst.Dst] = std::log(Regs[Inst.A]);
-    break;
-  case VmOp::Floor:
-    Regs[Inst.Dst] = std::floor(Regs[Inst.A]);
-    break;
-  case VmOp::Select:
-    Regs[Inst.Dst] = Regs[Inst.Sel] != 0.0f ? Regs[Inst.A] : Regs[Inst.B];
-    break;
-  case VmOp::Load:
-  case VmOp::StageCall:
-    KF_UNREACHABLE("memory op reached the ALU path");
-  }
+  float *D = Regs + Inst.Dst;
+  lane::visitOp(Inst.Op, [&](auto Tag) {
+    constexpr VmOp Op = decltype(Tag)::value;
+    if constexpr (Op == VmOp::Const)
+      lane::fill<1>(D, Inst.Imm, 1);
+    else if constexpr (Op == VmOp::CoordX)
+      lane::iota<1>(D, X, 1);
+    else if constexpr (Op == VmOp::CoordY)
+      lane::fill<1>(D, static_cast<float>(Y), 1);
+    else if constexpr (lane::isAlu(Op))
+      lane::alu<1, Op>(D, Regs + Inst.A, Regs + Inst.B, Regs + Inst.Sel, 1);
+    else
+      KF_UNREACHABLE("memory op reached the ALU path");
+  });
 }
 
 } // namespace
@@ -409,153 +366,52 @@ inline void evalAluInst(const VmInst &Inst, float *Regs, int X, int Y) {
 
 namespace {
 
-/// Executes \p Code instruction-major over pixels [X0, X1) of row \p Y.
-/// \p Inputs resolves Load pool images; \p CallRow handles StageCall ops
-/// (writes the callee's value per pixel into the destination row).
-template <class CallRowFn>
+/// Executes \p Code instruction-major over the chunk of \p W pixels
+/// starting at (X0, Y), through the width-\p N lane kernels. Register r
+/// is the VmLaneWidth-float slot Frame + r * VmLaneWidth. \p Inputs
+/// resolves Load pool images; \p CallRow handles StageCall ops (writes
+/// the callee's value per pixel into the destination slot).
+template <int N, class CallRowFn>
 void evalRowImpl(const VmProgram &Code, const std::vector<Image> &Pool,
-                 const std::vector<ImageId> &Inputs, int Y, int X0, int X1,
-                 int Channel, float *RowRegs, float *Out, int OutStride,
+                 const std::vector<ImageId> &Inputs, int Y, int X0, int W,
+                 int Channel, float *Frame, float *Out, int OutStride,
                  CallRowFn &&CallRow) {
-  const int W = X1 - X0;
   auto Row = [&](uint16_t Reg) {
-    return RowRegs + static_cast<size_t>(Reg) * W;
+    return Frame + static_cast<size_t>(Reg) * VmLaneWidth;
   };
   for (const VmInst &Inst : Code.Insts) {
     float *D = Row(Inst.Dst);
-    switch (Inst.Op) {
-    case VmOp::Const:
-      for (int I = 0; I != W; ++I)
-        D[I] = Inst.Imm;
-      break;
-    case VmOp::CoordX:
-      for (int I = 0; I != W; ++I)
-        D[I] = static_cast<float>(X0 + I);
-      break;
-    case VmOp::CoordY:
-      for (int I = 0; I != W; ++I)
-        D[I] = static_cast<float>(Y);
-      break;
-    case VmOp::Load: {
-      const Image &Img = Pool[Inputs[Inst.InputIdx]];
-      int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-      assert(Y + Inst.Oy >= 0 && Y + Inst.Oy < Img.height() &&
-             X0 + Inst.Ox >= 0 && X1 - 1 + Inst.Ox < Img.width() &&
-             "row evaluation outside the interior region");
-      const float *Base =
-          Img.data().data() +
-          (static_cast<size_t>(Y + Inst.Oy) * Img.width() + (X0 + Inst.Ox)) *
-              Img.channels() +
-          Ch;
-      const int Stride = Img.channels();
-      for (int I = 0; I != W; ++I)
-        D[I] = Base[static_cast<size_t>(I) * Stride];
-      break;
-    }
-    case VmOp::Add: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] + B[I];
-      break;
-    }
-    case VmOp::Sub: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] - B[I];
-      break;
-    }
-    case VmOp::Mul: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] * B[I];
-      break;
-    }
-    case VmOp::Div: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] / B[I];
-      break;
-    }
-    case VmOp::Min: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::min(A[I], B[I]);
-      break;
-    }
-    case VmOp::Max: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::max(A[I], B[I]);
-      break;
-    }
-    case VmOp::Pow: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::pow(A[I], B[I]);
-      break;
-    }
-    case VmOp::CmpLT: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] < B[I] ? 1.0f : 0.0f;
-      break;
-    }
-    case VmOp::CmpGT: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B);
-      for (int I = 0; I != W; ++I)
-        D[I] = A[I] > B[I] ? 1.0f : 0.0f;
-      break;
-    }
-    case VmOp::Neg: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = -A[I];
-      break;
-    }
-    case VmOp::Abs: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::abs(A[I]);
-      break;
-    }
-    case VmOp::Sqrt: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::sqrt(A[I]);
-      break;
-    }
-    case VmOp::Exp: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::exp(A[I]);
-      break;
-    }
-    case VmOp::Log: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::log(A[I]);
-      break;
-    }
-    case VmOp::Floor: {
-      const float *A = Row(Inst.A);
-      for (int I = 0; I != W; ++I)
-        D[I] = std::floor(A[I]);
-      break;
-    }
-    case VmOp::Select: {
-      const float *A = Row(Inst.A), *B = Row(Inst.B), *S = Row(Inst.Sel);
-      for (int I = 0; I != W; ++I)
-        D[I] = S[I] != 0.0f ? A[I] : B[I];
-      break;
-    }
-    case VmOp::StageCall:
-      CallRow(Inst, D);
-      break;
-    }
+    lane::visitOp(Inst.Op, [&](auto Tag) {
+      constexpr VmOp Op = decltype(Tag)::value;
+      if constexpr (Op == VmOp::Load) {
+        const Image &Img = Pool[Inputs[Inst.InputIdx]];
+        int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
+        assert(Y + Inst.Oy >= 0 && Y + Inst.Oy < Img.height() &&
+               X0 + Inst.Ox >= 0 && X0 + W - 1 + Inst.Ox < Img.width() &&
+               "row evaluation outside the interior region");
+        const float *Base = Img.data().data() +
+                            (static_cast<size_t>(Y + Inst.Oy) * Img.width() +
+                             (X0 + Inst.Ox)) *
+                                Img.channels() +
+                            Ch;
+        if (Img.channels() == 1)
+          lane::copy<N>(D, Base, W);
+        else
+          lane::gather<N>(D, Base, Img.channels(), W);
+      } else if constexpr (Op == VmOp::StageCall) {
+        CallRow(Inst, D);
+      } else if constexpr (Op == VmOp::Const) {
+        lane::fill<N>(D, Inst.Imm, W);
+      } else if constexpr (Op == VmOp::CoordX) {
+        lane::iota<N>(D, X0, W);
+      } else if constexpr (Op == VmOp::CoordY) {
+        lane::fill<N>(D, static_cast<float>(Y), W);
+      } else {
+        lane::alu<N, Op>(D, Row(Inst.A), Row(Inst.B), Row(Inst.Sel), W);
+      }
+    });
   }
-  const float *Result = Row(Code.ResultReg);
-  for (int I = 0; I != W; ++I)
-    Out[static_cast<size_t>(I) * OutStride] = Result[I];
+  lane::store<N>(Out, Row(Code.ResultReg), OutStride, W);
 }
 
 } // namespace
@@ -693,28 +549,28 @@ float kf::runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
 
 namespace {
 
-/// Instruction-major interior evaluation of one stage over the chunk
-/// [X0, X1) of row \p Y (at most VmLaneWidth pixels). Stage calls recurse
-/// chunk-wise too -- the callee streams its subprogram across the
-/// (offset-shifted) chunk straight into the caller's destination lanes --
-/// so the whole staged program stays instruction-major. \p LaneRegs holds
+/// Instruction-major interior evaluation of one stage over the chunk of
+/// \p W pixels starting at (X0, Y). Stage calls recurse chunk-wise too --
+/// the callee streams its subprogram across the (offset-shifted) chunk
+/// straight into the caller's destination slot -- so the whole staged
+/// program stays instruction-major. \p LaneRegs holds
 /// SP.NumRegs * VmLaneWidth floats partitioned by the stages' RegBase
 /// frames; the acyclic call graph guarantees a stage never reuses a live
 /// frame, and sequential calls to the same callee simply overwrite its
 /// frame.
+template <int N>
 void evalStagedChunk(const StagedVmProgram &SP, uint16_t StageIdx,
-                     const std::vector<Image> &Pool, int Y, int X0, int X1,
+                     const std::vector<Image> &Pool, int Y, int X0, int W,
                      int Channel, float *LaneRegs, float *Out,
                      int OutStride) {
   const VmStage &Stage = SP.Stages[StageIdx];
   float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
-  evalRowImpl(Stage.Code, Pool, Stage.Inputs, Y, X0, X1, Channel, Frame,
-              Out, OutStride, [&](const VmInst &Inst, float *D) {
-                int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
-                evalStagedChunk(SP, Inst.Sel, Pool, Y + Inst.Oy,
-                                X0 + Inst.Ox, X1 + Inst.Ox, Ch, LaneRegs, D,
-                                1);
-              });
+  evalRowImpl<N>(Stage.Code, Pool, Stage.Inputs, Y, X0, W, Channel, Frame,
+                 Out, OutStride, [&](const VmInst &Inst, float *D) {
+                   int Ch = Inst.Channel < 0 ? Channel : Inst.Channel;
+                   evalStagedChunk<N>(SP, Inst.Sel, Pool, Y + Inst.Oy,
+                                      X0 + Inst.Ox, W, Ch, LaneRegs, D, 1);
+                 });
 }
 
 } // namespace
@@ -724,18 +580,17 @@ void kf::runStagedVmSpan(const StagedVmProgram &SP, uint16_t RootStage,
                          int X1, int Channel, float *LaneRegs,
                          float *Out, int OutStride) {
   // Chunked lane-buffer evaluation: stage frames partition the buffer at
-  // RegBase * VmLaneWidth while each chunk's per-register stride is the
-  // chunk width (<= VmLaneWidth), so no frame ever overruns into its
-  // neighbour (the validator's KF-B11 invariant) and the whole register
-  // working set is SP.NumRegs * VmLaneWidth floats. StageCall recursion
-  // inside evalStagedChunk shifts the chunk's column range per call, so
-  // the callee streams over exactly the caller's lanes.
-  for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
-    const int C1 = std::min(X1, C0 + VmLaneWidth);
-    evalStagedChunk(SP, RootStage, Pool, Y, C0, C1, Channel, LaneRegs,
-                    Out + static_cast<size_t>(C0 - X0) * OutStride,
-                    OutStride);
-  }
+  // RegBase * VmLaneWidth and every register is one VmLaneWidth slot, so
+  // no frame ever overruns into its neighbour (the validator's KF-B11
+  // invariant) and the whole register working set is
+  // SP.NumRegs * VmLaneWidth floats. StageCall recursion inside
+  // evalStagedChunk shifts the chunk's column range per call, so the
+  // callee streams over exactly the caller's lanes.
+  lane::forEachChunk(X0, X1, [&](int C0, int W, auto Width) {
+    evalStagedChunk<decltype(Width)::value>(
+        SP, RootStage, Pool, Y, C0, W, Channel, LaneRegs,
+        Out + static_cast<size_t>(C0 - X0) * OutStride, OutStride);
+  });
 }
 
 //===----------------------------------------------------------------------===//
@@ -815,7 +670,8 @@ struct PlaneView {
 /// [RX0, RX1) x [RY0, RY1) at channel \p Ch, resolving StageCall ops
 /// against the plane views of \p Resolve, writing result (x, y) to
 /// Dst[(y - RY0) * DstPitch + (x - RX0) * DstStride]. Rows stream through
-/// evalRowImpl in lane chunks (plane reads are contiguous row copies),
+/// evalRowImpl in lane::forEachChunk chunks (plane reads are contiguous
+/// row copies),
 /// running exactly the instruction streams the interior/halo strategy
 /// runs, so values are bit-identical.
 template <class ResolveFn>
@@ -828,24 +684,25 @@ void evalOverlapRegion(const StagedVmProgram &SP, uint16_t StageIdx,
   float *Frame = LaneRegs + static_cast<size_t>(Stage.RegBase) * VmLaneWidth;
   for (int Y = RY0; Y != RY1; ++Y) {
     float *DstRow = Dst + static_cast<size_t>(Y - RY0) * DstPitch;
-    for (int C0 = RX0; C0 < RX1; C0 += VmLaneWidth) {
-      const int C1 = std::min(RX1, C0 + VmLaneWidth);
-      evalRowImpl(
-          Stage.Code, Pool, Stage.Inputs, Y, C0, C1, Ch, Frame,
+    lane::forEachChunk(RX0, RX1, [&](int C0, int W, auto Width) {
+      constexpr int N = decltype(Width)::value;
+      evalRowImpl<N>(
+          Stage.Code, Pool, Stage.Inputs, Y, C0, W, Ch, Frame,
           DstRow + static_cast<size_t>(C0 - RX0) * DstStride, DstStride,
           [&](const VmInst &Inst, float *D) {
             const PlaneView &V =
                 Resolve(Inst.Sel, Inst.Channel < 0 ? Ch : Inst.Channel);
             assert(Y + Inst.Oy >= V.Y0 && Y + Inst.Oy < V.Y0 + V.H &&
-                   C0 + Inst.Ox >= V.X0 && C1 - 1 + Inst.Ox < V.X0 + V.W &&
+                   C0 + Inst.Ox >= V.X0 &&
+                   C0 + W - 1 + Inst.Ox < V.X0 + V.W &&
                    "plane read outside the materialized margin");
-            const float *Src =
-                V.Data + static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
-                (C0 + Inst.Ox - V.X0);
-            for (int I = 0; I != C1 - C0; ++I)
-              D[I] = Src[I];
+            lane::copy<N>(D,
+                          V.Data +
+                              static_cast<size_t>(Y + Inst.Oy - V.Y0) * V.W +
+                              (C0 + Inst.Ox - V.X0),
+                          W);
           });
-    }
+    });
   }
 }
 

@@ -18,10 +18,14 @@
 ///     implementing the interior/halo specialization the generated GPU
 ///     code performs: each instruction streams across a row span through
 ///     fixed-width lane buffers (VmLaneWidth floats per register,
-///     structure-of-arrays), written as plain contiguous loops the
-///     compiler autovectorizes; tail chunks narrower than a lane run the
-///     same loops with a smaller bound. The JIT (src/jit) compiles the
-///     same validated bytecode into chains of specialized op cells.
+///     structure-of-arrays). Each opcode runs its lane kernel
+///     (ir/LaneOps.h); full VmLaneWidth chunks run the compile-time-width
+///     kernels, which compile to packed SIMD, and a span's last partial
+///     chunk is run as a full chunk shifted left to end at the span's
+///     end. Only a span narrower than one lane runs the scalar
+///     runtime-width kernels. The JIT (src/jit) compiles the same
+///     validated bytecode into chains of op cells calling the same
+///     kernels.
 ///   - the bordered per-pixel path (runStagedVm) evaluates the halo with
 ///     bordered loads and index-exchanged stage calls.
 ///
@@ -128,8 +132,9 @@ const char *optModeName(OptMode Mode);
 /// Lane width of the span execution mode: every register of a span chunk
 /// is a contiguous block of this many floats (structure of arrays), so
 /// the whole register file of a chunk stays L1-resident independent of
-/// the image width. Tail chunks simply run with a smaller bound -- the
-/// interpreter's equivalent of masked tail handling.
+/// the image width. Spans of at least this width run full chunks only
+/// (lane::forEachChunk shifts the last one); narrower spans run one chunk
+/// with a smaller bound.
 constexpr int VmLaneWidth = 64;
 
 /// VM opcodes. Loads read images with the owning kernel's border
@@ -235,7 +240,9 @@ float runStagedVm(const StagedVmProgram &SP, uint16_t RootStage,
                   float *Regs, bool UseIndexExchange = true);
 
 /// Span-mode interior evaluation of a staged program: the span [X0, X1)
-/// is chunked into lanes of at most VmLaneWidth pixels; within a chunk
+/// is chunked into lanes of VmLaneWidth pixels (the last chunk shifted
+/// left to end at X1, see lane::forEachChunk), or one narrower chunk when
+/// the span is narrower than a lane; within a chunk
 /// every stage's instruction stream runs instruction-major, and StageCall
 /// ops recurse span-aware (the callee streams over the offset-shifted
 /// chunk straight into the caller's destination lanes). Stage frames

@@ -2,6 +2,8 @@
 
 #include "ir/VmOptimizer.h"
 
+#include "ir/LaneOps.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -111,60 +113,20 @@ namespace {
 bool readsA(VmOp Op) { return vmOpReadsA(Op); }
 bool readsB(VmOp Op) { return vmOpReadsB(Op); }
 
-/// Folds one all-constant ALU instruction with the identical std:: float
-/// operations evalAluInst executes, so the folded immediate is bit-equal
-/// to what the interpreter would have computed. Returns false for ops
-/// that are not pure functions of (A, B).
+/// Folds one all-constant ALU instruction through the width-1 lane
+/// kernel every engine executes, so the folded immediate is bit-equal to
+/// what the interpreter would have computed. Returns false for ops that
+/// are not pure functions of (A, B).
 bool foldAlu(VmOp Op, float A, float B, float &Out) {
-  switch (Op) {
-  case VmOp::Add:
-    Out = A + B;
-    return true;
-  case VmOp::Sub:
-    Out = A - B;
-    return true;
-  case VmOp::Mul:
-    Out = A * B;
-    return true;
-  case VmOp::Div:
-    Out = A / B;
-    return true;
-  case VmOp::Min:
-    Out = std::min(A, B);
-    return true;
-  case VmOp::Max:
-    Out = std::max(A, B);
-    return true;
-  case VmOp::Pow:
-    Out = std::pow(A, B);
-    return true;
-  case VmOp::CmpLT:
-    Out = A < B ? 1.0f : 0.0f;
-    return true;
-  case VmOp::CmpGT:
-    Out = A > B ? 1.0f : 0.0f;
-    return true;
-  case VmOp::Neg:
-    Out = -A;
-    return true;
-  case VmOp::Abs:
-    Out = std::abs(A);
-    return true;
-  case VmOp::Sqrt:
-    Out = std::sqrt(A);
-    return true;
-  case VmOp::Exp:
-    Out = std::exp(A);
-    return true;
-  case VmOp::Log:
-    Out = std::log(A);
-    return true;
-  case VmOp::Floor:
-    Out = std::floor(A);
-    return true;
-  default:
-    return false;
-  }
+  bool Folded = false;
+  lane::visitOp(Op, [&](auto Tag) {
+    constexpr VmOp O = decltype(Tag)::value;
+    if constexpr (lane::isAlu(O) && O != VmOp::Select) {
+      lane::alu<1, O>(&Out, &A, &B, nullptr, 1);
+      Folded = true;
+    }
+  });
+  return Folded;
 }
 
 /// Zeroes every field \p Inst's opcode does not read, so structurally

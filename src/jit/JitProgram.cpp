@@ -3,8 +3,8 @@
 #include "jit/JitProgram.h"
 
 #include "analysis/BytecodeValidator.h"
+#include "ir/LaneOps.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -16,38 +16,24 @@ namespace {
 // Precompiled op templates
 //===--------------------------------------------------------------------===//
 //
-// Every template is instantiated twice: N = VmLaneWidth gives the full
-// chain its compile-time trip count (the loops vectorize with no runtime
-// bound checks), N = 0 gives the tail chain a runtime bound from the
-// execution state. The loop bodies are copied verbatim from the span
-// interpreter's evalRowImpl so every lane computes the identical float
-// operation sequence -- bit-identity with span mode is by construction.
-
-template <int N> inline int chunkWidth(const JitExec &E) {
-  return N > 0 ? N : E.N;
-}
+// Every template is a thin wrapper around the lane kernel of its opcode
+// (ir/LaneOps.h), the same kernel the span interpreter runs, so every
+// lane computes the identical float operation sequence -- bit-identity
+// with span mode is by construction. Each is instantiated twice: N =
+// VmLaneWidth gives the full chain the compile-time trip count its loops
+// vectorize with, N = 0 gives the tail chain the runtime bound E.N.
 
 template <int N> void opConst(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  for (int I = 0; I != W; ++I)
-    D[I] = C.Imm;
+  lane::fill<N>(E.Lanes + C.Dst, C.Imm, E.N);
 }
 
 template <int N> void opCoordX(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const int Base = E.X0 + C.Ox; // Accumulated stage-call displacement.
-  for (int I = 0; I != W; ++I)
-    D[I] = static_cast<float>(Base + I);
+  // Ox is the accumulated stage-call displacement.
+  lane::iota<N>(E.Lanes + C.Dst, E.X0 + C.Ox, E.N);
 }
 
 template <int N> void opCoordY(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const float V = static_cast<float>(E.Y + C.Oy);
-  for (int I = 0; I != W; ++I)
-    D[I] = V;
+  lane::fill<N>(E.Lanes + C.Dst, static_cast<float>(E.Y + C.Oy), E.N);
 }
 
 /// Interior load. \p Mono specializes the single-channel (stride-1)
@@ -56,65 +42,28 @@ template <int N> void opCoordY(const JitCell &C, JitExec &E) {
 /// launch channel.
 template <int N, bool Mono, bool DynChannel>
 void opLoad(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
   const Image &Img = (*E.Pool)[C.Image];
   assert(!Img.empty() && "reading an unmaterialized image");
   assert(!Mono || Img.channels() == 1);
   const int Ch = DynChannel ? E.Channel : C.Channel;
   const int Stride = Mono ? 1 : Img.channels();
   assert(E.Y + C.Oy >= 0 && E.Y + C.Oy < Img.height() &&
-         E.X0 + C.Ox >= 0 && E.X0 + W - 1 + C.Ox < Img.width() &&
+         E.X0 + C.Ox >= 0 && E.X0 + E.N - 1 + C.Ox < Img.width() &&
          "JIT evaluation outside the interior region");
   const float *Base =
       Img.data().data() +
       (static_cast<size_t>(E.Y + C.Oy) * Img.width() + (E.X0 + C.Ox)) *
           Stride +
       Ch;
-  float *D = E.Lanes + C.Dst;
-  for (int I = 0; I != W; ++I)
-    D[I] = Base[static_cast<size_t>(I) * Stride];
+  if constexpr (Mono)
+    lane::copy<N>(E.Lanes + C.Dst, Base, E.N);
+  else
+    lane::gather<N>(E.Lanes + C.Dst, Base, Stride, E.N);
 }
 
 template <int N, VmOp Op> void opAlu(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const float *A = E.Lanes + C.A;
-  const float *B = E.Lanes + C.B;
-  const float *S = E.Lanes + C.Sel;
-  for (int I = 0; I != W; ++I) {
-    if constexpr (Op == VmOp::Add)
-      D[I] = A[I] + B[I];
-    else if constexpr (Op == VmOp::Sub)
-      D[I] = A[I] - B[I];
-    else if constexpr (Op == VmOp::Mul)
-      D[I] = A[I] * B[I];
-    else if constexpr (Op == VmOp::Div)
-      D[I] = A[I] / B[I];
-    else if constexpr (Op == VmOp::Min)
-      D[I] = std::min(A[I], B[I]);
-    else if constexpr (Op == VmOp::Max)
-      D[I] = std::max(A[I], B[I]);
-    else if constexpr (Op == VmOp::Pow)
-      D[I] = std::pow(A[I], B[I]);
-    else if constexpr (Op == VmOp::CmpLT)
-      D[I] = A[I] < B[I] ? 1.0f : 0.0f;
-    else if constexpr (Op == VmOp::CmpGT)
-      D[I] = A[I] > B[I] ? 1.0f : 0.0f;
-    else if constexpr (Op == VmOp::Neg)
-      D[I] = -A[I];
-    else if constexpr (Op == VmOp::Abs)
-      D[I] = std::abs(A[I]);
-    else if constexpr (Op == VmOp::Sqrt)
-      D[I] = std::sqrt(A[I]);
-    else if constexpr (Op == VmOp::Exp)
-      D[I] = std::exp(A[I]);
-    else if constexpr (Op == VmOp::Log)
-      D[I] = std::log(A[I]);
-    else if constexpr (Op == VmOp::Floor)
-      D[I] = std::floor(A[I]);
-    else if constexpr (Op == VmOp::Select)
-      D[I] = S[I] != 0.0f ? A[I] : B[I];
-  }
+  lane::alu<N, Op>(E.Lanes + C.Dst, E.Lanes + C.A, E.Lanes + C.B,
+                   E.Lanes + C.Sel, E.N);
 }
 
 /// The register-copy cell a flattened StageCall leaves behind: moves the
@@ -122,11 +71,7 @@ template <int N, VmOp Op> void opAlu(const JitCell &C, JitExec &E) {
 /// (the assignment the interpreter performs when the recursive call
 /// returns).
 template <int N> void opCopy(const JitCell &C, JitExec &E) {
-  const int W = chunkWidth<N>(E);
-  float *D = E.Lanes + C.Dst;
-  const float *A = E.Lanes + C.A;
-  for (int I = 0; I != W; ++I)
-    D[I] = A[I];
+  lane::copy<N>(E.Lanes + C.Dst, E.Lanes + C.A, E.N);
 }
 
 //===--------------------------------------------------------------------===//
@@ -241,55 +186,25 @@ private:
 template <int N> JitOpFn selectFn(const CellSpec &CS) {
   if (CS.CopyCell)
     return opCopy<N>;
-  switch (CS.Op) {
-  case VmOp::Const:
-    return opConst<N>;
-  case VmOp::CoordX:
-    return opCoordX<N>;
-  case VmOp::CoordY:
-    return opCoordY<N>;
-  case VmOp::Load:
-    if (CS.MonoLoad)
-      return CS.Cell.Channel < 0 ? opLoad<N, true, true>
-                                 : opLoad<N, true, false>;
-    return CS.Cell.Channel < 0 ? opLoad<N, false, true>
-                               : opLoad<N, false, false>;
-  case VmOp::Add:
-    return opAlu<N, VmOp::Add>;
-  case VmOp::Sub:
-    return opAlu<N, VmOp::Sub>;
-  case VmOp::Mul:
-    return opAlu<N, VmOp::Mul>;
-  case VmOp::Div:
-    return opAlu<N, VmOp::Div>;
-  case VmOp::Min:
-    return opAlu<N, VmOp::Min>;
-  case VmOp::Max:
-    return opAlu<N, VmOp::Max>;
-  case VmOp::Pow:
-    return opAlu<N, VmOp::Pow>;
-  case VmOp::CmpLT:
-    return opAlu<N, VmOp::CmpLT>;
-  case VmOp::CmpGT:
-    return opAlu<N, VmOp::CmpGT>;
-  case VmOp::Neg:
-    return opAlu<N, VmOp::Neg>;
-  case VmOp::Abs:
-    return opAlu<N, VmOp::Abs>;
-  case VmOp::Sqrt:
-    return opAlu<N, VmOp::Sqrt>;
-  case VmOp::Exp:
-    return opAlu<N, VmOp::Exp>;
-  case VmOp::Log:
-    return opAlu<N, VmOp::Log>;
-  case VmOp::Floor:
-    return opAlu<N, VmOp::Floor>;
-  case VmOp::Select:
-    return opAlu<N, VmOp::Select>;
-  case VmOp::StageCall:
-    break; // Flattened away; only the copy cell remains.
-  }
-  return nullptr;
+  JitOpFn Fn = nullptr;
+  lane::visitOp(CS.Op, [&](auto Tag) {
+    constexpr VmOp Op = decltype(Tag)::value;
+    if constexpr (Op == VmOp::Const)
+      Fn = opConst<N>;
+    else if constexpr (Op == VmOp::CoordX)
+      Fn = opCoordX<N>;
+    else if constexpr (Op == VmOp::CoordY)
+      Fn = opCoordY<N>;
+    else if constexpr (Op == VmOp::Load)
+      Fn = CS.MonoLoad ? (CS.Cell.Channel < 0 ? opLoad<N, true, true>
+                                              : opLoad<N, true, false>)
+                       : (CS.Cell.Channel < 0 ? opLoad<N, false, true>
+                                              : opLoad<N, false, false>);
+    else if constexpr (lane::isAlu(Op))
+      Fn = opAlu<N, Op>;
+    // StageCall is flattened away; only its copy cell remains.
+  });
+  return Fn;
 }
 
 } // namespace
@@ -346,20 +261,18 @@ void kf::runJitSpan(const JitProgram &JP, const std::vector<Image> &Pool,
   E.Pool = &Pool;
   E.Y = Y;
   E.Channel = Channel;
-  // Chunking mirrors runStagedVmSpan: full lanes run the chain whose op
-  // loops carry the compile-time VmLaneWidth bound, the final sub-lane
-  // chunk runs the runtime-bound tail chain.
-  for (int C0 = X0; C0 < X1; C0 += VmLaneWidth) {
-    const int C1 = std::min(X1, C0 + VmLaneWidth);
+  // Chunking mirrors runStagedVmSpan: full chunks run the chain whose op
+  // loops carry the compile-time VmLaneWidth bound (the last one shifted
+  // left to end at X1), a span narrower than one lane runs the
+  // runtime-bound tail chain.
+  lane::forEachChunk(X0, X1, [&](int C0, int W, auto Width) {
+    constexpr int N = decltype(Width)::value;
     E.X0 = C0;
-    E.N = C1 - C0;
-    const JitCell *Cell =
-        (E.N == VmLaneWidth ? JP.Full : JP.Tail).data();
-    for (; Cell->Fn; ++Cell)
+    E.N = W;
+    for (const JitCell *Cell = (N > 0 ? JP.Full : JP.Tail).data(); Cell->Fn;
+         ++Cell)
       Cell->Fn(*Cell, E);
-    const float *Result = LaneRegs + JP.ResultOffset;
-    float *O = Out + static_cast<size_t>(C0 - X0) * OutStride;
-    for (int I = 0; I != E.N; ++I)
-      O[static_cast<size_t>(I) * OutStride] = Result[I];
-  }
+    lane::store<N>(Out + static_cast<size_t>(C0 - X0) * OutStride,
+                   LaneRegs + JP.ResultOffset, OutStride, W);
+  });
 }

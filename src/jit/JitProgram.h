@@ -8,10 +8,13 @@
 /// ids). Executing a row span then walks the chain and tail-calls through
 /// plain function pointers -- a portable copy-and-patch / direct-threaded
 /// realization that removes the interpreter's switch-per-instruction-per-
-/// chunk from the interior loop. Two chains are materialized per program:
-/// a *full* chain whose op templates carry the compile-time loop bound
-/// VmLaneWidth (the autovectorized steady state) and a *tail* chain with a
-/// runtime bound for the final sub-lane chunk.
+/// chunk from the interior loop. Every op function is a thin wrapper
+/// around the lane kernel of its opcode (ir/LaneOps.h), shared with the
+/// span interpreter. Two chains are materialized per program: a *full*
+/// chain whose kernels carry the compile-time loop bound VmLaneWidth and
+/// compile to packed SIMD, and a *tail* chain with a runtime bound, run
+/// only for spans narrower than one lane (a wider span's last partial
+/// chunk runs the full chain shifted left to end at the span's end).
 ///
 /// Stage calls are flattened at compile time: each StageCall site inlines
 /// the callee's instruction stream with the accumulated (Ox, Oy)
@@ -106,9 +109,9 @@ compileJitProgram(const StagedVmProgram &SP, uint16_t Root,
 
 /// Executes \p JP over interior pixels [X0, X1) of row \p Y for
 /// \p Channel, writing result i to Out[i * OutStride]. The span is
-/// chunked into lanes of at most VmLaneWidth pixels exactly like
-/// runStagedVmSpan; \p LaneRegs must hold JP.NumRegs * VmLaneWidth
-/// floats. Interior-only (direct loads), bit-identical to span mode.
+/// chunked exactly like runStagedVmSpan (lane::forEachChunk);
+/// \p LaneRegs must hold JP.NumRegs * VmLaneWidth floats. Interior-only
+/// (direct loads), bit-identical to span mode.
 void runJitSpan(const JitProgram &JP, const std::vector<Image> &Pool,
                 int Y, int X0, int X1, int Channel, float *LaneRegs,
                 float *Out, int OutStride = 1);
